@@ -9,12 +9,20 @@ the fourth moment is a histogram over cycle types c of S_2n of
 where V is the block-diagonal copy of S_n x S_n in S_2n and hatchi is the
 product character.  Enumerating all |V|^2 pairs is hopeless beyond n=4, so
 the pair sum is factored through the double coset decomposition of V by
-K = V intersect eps_B V eps_B: writing pi = t * kappa over a transversal of
-V/K, the inner kappa sum becomes an integer matrix product and each product
-permutation is visited once per (transversal element, second factor) pair,
-|V|^2/|K| composites in all.  The matrix product runs in float64, which is
-exact here because every partial sum is an integer far below 2**53 (checked
-at run time), so the histogram is bit-identical to the naive enumeration.
+K = V intersect eps_B V eps_B (all of V when B is empty): writing
+pi = t * kappa over a transversal of V/K, each of the |V|^2/|K| composites,
+one per t and v = (vp, vm) in V, carries the weight
+
+    C[t, vp, vm] = sum over kappa in K of hatchi(t kappa) chi(gp vp) chi(gm vm)
+
+with (gp, gm) the components of eps_B kappa^-1 eps_B.  Collecting
+hatchi(t kappa) into M[t, gp, gm] gives C[t] = X^T M[t] Y with X = chi(gp vp)
+and Y = chi(gm vm): two n!-wide gathers and two batched matrix products per
+block of vp, bincounted against the cycle types of the composites.  This
+runs in float64 and is exact: every term is an integer and every partial
+sum is at most |K| max|chi|^4 < 2**53 (checked per call), and blocks keep
+each bincount total at most 2**52, so the histogram is bit-identical to the
+naive enumeration.
 
 Histograms are additive over a shard split of the transversal rows, which
 is what the worker interface exposes; merging shards in any order gives
@@ -29,7 +37,7 @@ from itertools import permutations as _itertools_permutations
 import numpy as np
 
 from .characters import character_table
-from .partitions import as_partition, hook_product, partition_list
+from .partitions import as_partition, partition_list
 
 _MAX_ENGINE_N = 6  # composition tables are (n!)^2; beyond 6 they do not fit
 
@@ -160,8 +168,9 @@ def _epsilon_images(n, points):
     return img
 
 
-_KEY_CACHE: dict = {}
+_KEY_CACHE: dict = {}  # (n, A points, B points) -> keys; one degree n at a time
 _KEY_CACHE_LIMIT = 1 << 24  # cache cycle-type keys only when they fit easily
+_BLOCK_BYTES = 1 << 26  # W, C and keys of one column block
 
 
 def t_histogram_vec(lam, A, B, shards=1, shard=0):
@@ -187,86 +196,73 @@ def t_histogram_vec(lam, A, B, shards=1, shard=0):
     pd = perm_data(n)
     table = character_table(n)
     chi_perm = table.row(lam)[pd.cls_of].astype(np.float64)
-    chi2d = np.outer(chi_perm, chi_perm)
     chimax = int(np.abs(table.row(lam)).max())
     classify = cycle_keyer(2 * n)
     ncls = len(partition_list(2 * n))
     V2n = _pair_images(n)
     size = pd.size
 
-    if not b_pts:
-        # sigma = rho = identity: the pi sum is the self-convolution of an
-        # irreducible character, so each product u gets weight H^2 hatchi(u)
-        h2 = float(hook_product(lam)) ** 2
-        keys = _cached_keys(n, (), (), lambda: classify(V2n))
-        rows = np.arange(size * size)[shard::shards]
-        weights = h2 * chi2d.ravel()[rows]
-        hist = np.bincount(keys[rows], weights=weights, minlength=ncls)
-        return _to_int64(hist)
-
     members, trans = _subset_data(n, b_pts)
-    sigma2n = _epsilon_images(n, a_pts)
     rho2n = _epsilon_images(n, b_pts)
-    ksize = len(members) ** 2
+    m = len(members)
+    ksize = m * m
     if ksize * chimax**4 >= 2**53:
         raise RuntimeError("character sums too large for exact float64 matmul")
 
-    # conjugated inverses rho kappa^-1 rho for every kappa in K, as V pairs
+    # conjugated inverses rho kappa^-1 rho for every kappa in K, as V pairs,
+    # and the distinct components gp (first) and gm (second) among them
     PL = pd.P[pd.INV[members]]
-    m = len(members)
     k_inv = np.concatenate(
         [np.repeat(PL, m, axis=0), np.tile(PL, (m, 1)) + np.uint8(n)], axis=1
     )
     g2n = rho2n[k_inv[:, rho2n]]
-    gp = pd.rank(g2n[:, :n])
-    gm = pd.rank(g2n[:, n:] - n)
+    gp, ia = np.unique(pd.rank(g2n[:, :n]), return_inverse=True)
+    gm, ib = np.unique(pd.rank(g2n[:, n:] - n), return_inverse=True)
+    # chi(gp o vp) and chi(gm o vm) for every component of v in V
+    X = chi_perm[pd.MT[gp]]
+    Y = chi_perm[pd.MT[gm]]
 
     # transversal pairs owned by this shard
-    t_pairs = [(a, b) for a in trans for b in trans]
-    own = t_pairs[shard::shards]
-    if not own:
+    t_pairs = np.array([(a, b) for a in trans for b in trans])
+    own_index = np.arange(len(t_pairs))[shard::shards]
+    if not len(own_index):
         return np.zeros(ncls, dtype=np.int64)
-    ta = np.array([p[0] for p in own])
-    tb = np.array([p[1] for p in own])
-    # hatchi(t kappa) for every owned transversal pair and kappa = (c, d):
-    # outer over the two components, flattened in kappa order c * m + d
-    compA = pd.MT[ta[:, None], members[None, :]]
-    compB = pd.MT[tb[:, None], members[None, :]]
-    chiM1 = chi2d[compA[:, :, None], compB[:, None, :]].reshape(len(own), ksize)
+    ta, tb = t_pairs[own_index].T
+    # hatchi(t kappa) for every owned transversal pair and kappa = (c, d),
+    # added into M[t, a, b] where rho kappa^-1 rho = (gp[a], gm[b])
+    chiM1 = (chi_perm[pd.MT[ta[:, None], members]][:, :, None]
+             * chi_perm[pd.MT[tb[:, None], members]][:, None, :])
+    M = np.zeros((len(own_index), len(gp), len(gm)))
+    np.add.at(M, (slice(None), ia, ib), chiM1.reshape(-1, ksize))
 
-    t2n = np.concatenate([pd.P[ta], pd.P[tb] + np.uint8(n)], axis=1)
-    E = sigma2n[t2n[:, rho2n]]
-
+    E = _epsilon_images(n, a_pts)[np.concatenate(
+        [pd.P[t_pairs[:, 0]], pd.P[t_pairs[:, 1]] + np.uint8(n)], axis=1
+    )[:, rho2n]]
     cached = None
-    if len(trans) ** 2 * size * size <= _KEY_CACHE_LIMIT:
+    if len(t_pairs) * size * size <= _KEY_CACHE_LIMIT:
         def build():
-            full_t2n = np.concatenate(
-                [pd.P[[p[0] for p in t_pairs]],
-                 pd.P[[p[1] for p in t_pairs]] + np.uint8(n)], axis=1
-            )
-            full_E = sigma2n[full_t2n[:, rho2n]]
             out = np.empty((len(t_pairs), size * size), dtype=np.uint8)
             for i in range(len(t_pairs)):
-                out[i] = classify(full_E[i][V2n])
+                out[i] = classify(E[i][V2n])
             return out
-        cached = _cached_keys(n, a_pts, b_pts, build)
+        cached = _cached_keys(n, a_pts, b_pts, build)[own_index]
+    else:
+        E_own = E[own_index]
 
-    maxC = ksize * float(chimax) ** 4
-    block = _block_size(len(own), ksize, maxC, 2 * n)
+    # key bytes per composite: the cached uint8 key, or the image row, one
+    # power with its match mask and classify's two int64 sums
+    key_bytes = 1 if cached is not None else 6 * n + 16
+    block = _block_size(len(own_index), len(gm), size, ksize * chimax**4, key_bytes)
     hist = np.zeros(ncls, dtype=np.int64)
-    own_index = np.arange(len(t_pairs))[shard::shards]
-    for v0 in range(0, size * size, block):
-        v1 = min(v0 + block, size * size)
-        vp = np.arange(v0, v1) // size
-        vm = np.arange(v0, v1) % size
-        chiM2 = chi2d[pd.MT[gp[:, None], vp[None, :]],
-                      pd.MT[gm[:, None], vm[None, :]]]
-        C = chiM1 @ chiM2
+    for p0 in range(0, size, block):
+        p1 = min(p0 + block, size)
+        W = np.matmul(X[:, p0:p1].T, M)
+        C = W.reshape(-1, len(gm)) @ Y
         if cached is not None:
-            keys = cached[own_index][:, v0:v1]
+            keys = cached[:, p0 * size:p1 * size]
         else:
-            composed = E[:, V2n[v0:v1]]
-            keys = classify(composed.reshape(-1, 2 * n)).reshape(len(own), v1 - v0)
+            composed = E_own[:, V2n[p0 * size:p1 * size]]
+            keys = classify(composed.reshape(-1, 2 * n))
         part = np.bincount(keys.ravel(), weights=C.ravel(), minlength=ncls)
         hist += _to_int64(part)
     return hist
@@ -275,16 +271,22 @@ def t_histogram_vec(lam, A, B, shards=1, shard=0):
 def _cached_keys(n, a_pts, b_pts, build):
     key = (n, a_pts, b_pts)
     if key not in _KEY_CACHE:
+        for stale in [k for k in _KEY_CACHE if k[0] != n]:
+            del _KEY_CACHE[stale]
         _KEY_CACHE[key] = build()
     return _KEY_CACHE[key]
 
 
-def _block_size(t_rows, ksize, maxC, width):
-    """Column block bounded so each bincount stays exactly representable
-    in float64 and intermediate arrays stay modest."""
-    exact = int(2**52 / max(t_rows * maxC, 1.0))
-    mem = (1 << 26) // max(t_rows * width, ksize * 8, 1)
-    return max(256, min(exact, mem))
+def _block_size(t_rows, inner, size, maxC, key_bytes):
+    """Columns vp per block.  A block bincounts t_rows * size * block terms
+    of size at most maxC, so its totals stay exact in float64 while they
+    are at most 2**52; W, C and the keys take t_rows * block times
+    (8 * inner + (8 + key_bytes) * size) bytes, at most _BLOCK_BYTES."""
+    exact = 2**52 // (t_rows * size * maxC)
+    if exact < 1:
+        raise RuntimeError("one column block exceeds exact float64 range")
+    mem = _BLOCK_BYTES // (t_rows * (8 * inner + (8 + key_bytes) * size))
+    return max(1, min(size, exact, mem))
 
 
 def _to_int64(hist):
@@ -296,8 +298,5 @@ def _to_int64(hist):
 
 def histogram_shard_sizes(n, B):
     """Number of transversal pairs for the set B (the shardable axis)."""
-    b_pts = tuple(sorted(i - 1 for i in B))
-    if not b_pts:
-        return perm_data(n).size ** 2
-    _, trans = _subset_data(n, b_pts)
+    _, trans = _subset_data(n, tuple(sorted(i - 1 for i in B)))
     return len(trans) ** 2
