@@ -14,7 +14,7 @@ from math import factorial
 
 import numpy as np
 
-from .partitions import Partition, as_partition, partition_list
+from .partitions import Partition, as_partition, partition_index, partition_list
 
 
 @cache
@@ -84,7 +84,7 @@ class CharacterTable:
     def __init__(self, m: int):
         self.m = m
         self.partitions = partition_list(m)
-        self.index = {p.parts: i for i, p in enumerate(self.partitions)}
+        self.index = partition_index(m)
         k = len(self.partitions)
         values = np.zeros((k, k), dtype=np.int64)
         for i, lam in enumerate(self.partitions):

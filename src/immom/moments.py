@@ -37,8 +37,18 @@ from .partitions import (
     unitary_numerator,
 )
 from .ratfun import RationalFunction
-from .symgroup import Permutation, all_permutations, all_subsets, embed_pair, epsilon, interval, theta
-from .tsum import cycle_keyer, t_histogram_vec
+from .symgroup import (
+    Permutation,
+    all_permutations,
+    all_subsets,
+    cycle_keyer,
+    embed_pair,
+    epsilon,
+    interval,
+    permutation_table,
+    theta,
+)
+from .tsum import t_histogram_vec
 from . import tsum
 
 SECOND_MOMENT_LIMIT = 5
@@ -283,16 +293,11 @@ def j_pair(lam, l, k) -> int:
     lam = as_partition(lam)
     n = lam.n
     th = np.array(theta(l, k, n).img, dtype=np.uint8)
-    x_side = np.array(
-        [perm + tuple(range(l, n)) for perm in _perm_tuples(l)], dtype=np.uint8
-    )
-    y_side = np.array(
-        [tuple(range(l)) + tuple(i + l for i in perm) for perm in _perm_tuples(n - l)],
-        dtype=np.uint8,
-    )
+    x_side = permutation_table(l)
+    y_side = permutation_table(n - l) + np.uint8(l)
     combined = np.empty((len(x_side), len(y_side), n), dtype=np.uint8)
-    combined[:] = x_side[:, None, :]
-    combined[:, :, l:] = y_side[None, :, l:]
+    combined[:, :, :l] = x_side[:, None, :]
+    combined[:, :, l:] = y_side[None, :, :]
     composed = th[combined]
     chi_row = character_table(n).row(lam)
     chimax = int(np.abs(chi_row).max())
@@ -305,12 +310,6 @@ def j_pair(lam, l, k) -> int:
     if not np.array_equal(Gi, G):
         raise RuntimeError("gram accumulation lost exactness")
     return sum(int(g) ** 2 for g in Gi.ravel())
-
-
-def _perm_tuples(m):
-    from itertools import permutations
-
-    return list(permutations(range(m)))
 
 
 def leading_coefficient(lam, limit=None) -> int:

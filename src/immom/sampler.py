@@ -16,13 +16,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cache
-from itertools import permutations as _itertools_permutations
 from math import sqrt
 
 import numpy as np
 
-from .characters import character
+from .characters import character_table
 from .partitions import Partition, as_partition
+from .symgroup import cycle_keyer, permutation_table
 
 CHUNK = 4096
 
@@ -49,29 +49,11 @@ def haar_unitary(d, rng):
 
 @cache
 def _char_data(parts):
-    lam = Partition(parts)
-    n = lam.n
-    perms = np.array(list(_itertools_permutations(range(n))), dtype=np.int64)
-    chars = np.array(
-        [character(lam, _ct(p)) for p in perms], dtype=np.complex128
-    )
+    n = sum(parts)
+    perms = permutation_table(n)
+    classes = cycle_keyer(n)(perms)
+    chars = character_table(n).row(parts)[classes].astype(np.complex128)
     return perms, chars
-
-
-def _ct(img):
-    seen = [False] * len(img)
-    out = []
-    for s in range(len(img)):
-        if seen[s]:
-            continue
-        c, j = 0, s
-        while not seen[j]:
-            seen[j] = True
-            j = img[j]
-            c += 1
-        out.append(c)
-    out.sort(reverse=True)
-    return tuple(out)
 
 
 def immanant_batch(lam, M):
@@ -109,10 +91,6 @@ def permanent_batch(M):
     signs = delta.prod(axis=1)
     cols = np.einsum("sk,bkj->bsj", delta, M)
     return cols.prod(axis=2) @ signs / s
-
-
-def permanent(M):
-    return complex(permanent_batch(np.asarray(M)[None, :, :])[0])
 
 
 # ---------------------------------------------------------------------------

@@ -5,13 +5,20 @@ The doubled group S_2n acts on 2n symbols; a pair (p, q) of permutations of
 minus block), epsilon(A) swaps i with n+i for i in A, and theta(l, k) is the
 involution exchanging {1..k} with {l+1..l+k}.  Serialized forms are always
 1-indexed one-line notation; in-memory images are 0-indexed.
+
+The vectorized engines use the array forms: permutation_table(m) is all of
+S_m as one image array, and cycle_keyer(m) classifies batches of image rows
+by cycle type.  Permutation.cycle_type stays the scalar reference.
 """
 
 from __future__ import annotations
 
+from functools import cache
 from itertools import permutations as _itertools_permutations
 
-from .partitions import Partition
+import numpy as np
+
+from .partitions import Partition, partition_list
 
 
 class Permutation:
@@ -96,6 +103,66 @@ def all_permutations(m):
     """Yield the permutations of {1..m} in lexicographic one-line order."""
     for img in _itertools_permutations(range(m)):
         yield Permutation(img)
+
+
+def permutation_table(m):
+    """All of S_m as an (m!, m) uint8 array of 0-indexed images, rows in
+    lexicographic order (the order of itertools.permutations(range(m))).
+
+    Built one degree at a time: the block of S_k rows starting with f is f
+    followed by the other k-1 symbols, in increasing order, indexed by the
+    rows of S_(k-1).  permutation_table(0) is one empty row.
+    """
+    table = np.zeros((1, 0), dtype=np.uint8)
+    for k in range(1, m + 1):
+        prev = len(table)
+        out = np.empty((k * prev, k), dtype=np.uint8)
+        for f in range(k):
+            block = out[f * prev:(f + 1) * prev]
+            block[:, 0] = f
+            block[:, 1:] = np.delete(np.arange(k, dtype=np.uint8), f)[table]
+        table = out
+    return table
+
+
+@cache
+def cycle_keyer(m):
+    """A classifier mapping batches of permutations of degree m to class
+    indices (canonical partition order).
+
+    The key is the vector of fixed-point counts of the first floor(m/2)
+    powers: parts above m/2 occur at most once, so those counts pin down
+    the cycle type, and a dense lookup table turns keys into indices.
+    """
+    parts_list = partition_list(m)
+    radix = m + 1
+    depth = m // 2
+    lut = np.full(radix**depth if depth else 1, 255, dtype=np.uint8)
+    for ci, mu in enumerate(parts_list):
+        counts: dict[int, int] = {}
+        for part in mu.parts:
+            counts[part] = counts.get(part, 0) + 1
+        key = 0
+        for t in range(depth, 0, -1):
+            f = sum(length * k for length, k in counts.items() if t % length == 0)
+            key = key * radix + f
+        assert lut[key] == 255, "fixed-point keys must separate classes"
+        lut[key] = ci
+
+    def classify(batch):
+        batch = np.ascontiguousarray(batch)
+        ar = np.arange(m, dtype=batch.dtype)
+        key = np.zeros(len(batch), dtype=np.int64)
+        power = batch
+        scale = 1
+        for t in range(1, depth + 1):
+            if t > 1:
+                power = np.take_along_axis(batch, power, axis=1)
+            key += (power == ar).sum(axis=1, dtype=np.int64) * scale
+            scale *= radix
+        return lut[key]
+
+    return classify
 
 
 def interval(hi, lo=0):

@@ -32,12 +32,12 @@ identical integers.
 from __future__ import annotations
 
 from functools import cache
-from itertools import permutations as _itertools_permutations
 
 import numpy as np
 
 from .characters import character_table
 from .partitions import as_partition, partition_list
+from .symgroup import cycle_keyer, permutation_table
 
 _MAX_ENGINE_N = 6  # composition tables are (n!)^2; beyond 6 they do not fit
 
@@ -53,7 +53,7 @@ class _PermData:
                 f"the engine supports n <= {_MAX_ENGINE_N}"
             )
         self.n = n
-        P = np.array(list(_itertools_permutations(range(n))), dtype=np.uint8)
+        P = permutation_table(n)
         self.P = P
         self.size = len(P)
         self._powers = (n ** np.arange(n - 1, -1, -1)).astype(np.int64)
@@ -63,75 +63,16 @@ class _PermData:
             MT[a] = self.rank(P[a][P])
         self.MT = MT
         self.INV = self.rank(np.argsort(P, axis=1))
-        index = {mu.parts: i for i, mu in enumerate(partition_list(n))}
-        self.cls_of = np.array(
-            [index[_cycle_type_of_row(row)] for row in P], dtype=np.uint8
-        )
+        self.cls_of = cycle_keyer(n)(P)
 
     def rank(self, rows):
         """Indices of permutation rows (N, n) in lexicographic order."""
         return np.searchsorted(self._codes, rows.astype(np.int64) @ self._powers)
 
 
-def _cycle_type_of_row(img):
-    seen = [False] * len(img)
-    out = []
-    for s in range(len(img)):
-        if seen[s]:
-            continue
-        length, j = 0, s
-        while not seen[j]:
-            seen[j] = True
-            j = img[j]
-            length += 1
-        out.append(length)
-    out.sort(reverse=True)
-    return tuple(out)
-
-
 @cache
 def perm_data(n) -> _PermData:
     return _PermData(n)
-
-
-@cache
-def cycle_keyer(m):
-    """A classifier mapping batches of permutations of degree m to class
-    indices (canonical partition order).
-
-    The key is the vector of fixed-point counts of the first floor(m/2)
-    powers: parts above m/2 occur at most once, so those counts pin down
-    the cycle type, and a dense lookup table turns keys into indices.
-    """
-    parts_list = partition_list(m)
-    radix = m + 1
-    depth = m // 2
-    lut = np.full(radix**depth if depth else 1, 255, dtype=np.uint8)
-    for ci, mu in enumerate(parts_list):
-        counts: dict[int, int] = {}
-        for part in mu.parts:
-            counts[part] = counts.get(part, 0) + 1
-        key = 0
-        for t in range(depth, 0, -1):
-            f = sum(length * k for length, k in counts.items() if t % length == 0)
-            key = key * radix + f
-        assert lut[key] == 255, "fixed-point keys must separate classes"
-        lut[key] = ci
-
-    def classify(batch):
-        batch = np.ascontiguousarray(batch)
-        ar = np.arange(m, dtype=batch.dtype)
-        key = np.zeros(len(batch), dtype=np.int64)
-        power = batch
-        scale = 1
-        for t in range(1, depth + 1):
-            if t > 1:
-                power = np.take_along_axis(batch, power, axis=1)
-            key += (power == ar).sum(axis=1, dtype=np.int64) * scale
-            scale *= radix
-        return lut[key]
-
-    return classify
 
 
 @cache

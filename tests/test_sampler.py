@@ -13,11 +13,13 @@ import numpy as np
 import pytest
 
 from conftest import brute_immanant, brute_permanent, random_complex_matrix
+from immom.characters import character
 from immom.moments import det_moment, mean
 from immom.partitions import Partition, partition_list
 from immom.sampler import (
     CHUNK,
     MomentEstimate,
+    _char_data,
     estimate_moment,
     estimate_monomial,
     haar_batch,
@@ -28,6 +30,7 @@ from immom.sampler import (
     permanent_batch,
     scan_rows,
 )
+from immom.symgroup import all_permutations
 
 
 # ---------------------------------------------------------------------------
@@ -126,6 +129,17 @@ def test_general_immanant_matches_naive_sum(rng):
             ), lam
 
 
+def test_character_data_is_exact_per_permutation():
+    # the permutation rows and characters behind the general immanant path
+    # equal the scalar enumeration and cycle type, with no tolerance
+    for n in range(2, 6):
+        perms = list(all_permutations(n))
+        for lam in partition_list(n):
+            rows, chars = _char_data(lam.parts)
+            assert np.array_equal(rows, [p.img for p in perms])
+            assert np.array_equal(chars, [character(lam, p.cycle_type()) for p in perms])
+
+
 def test_immanant_single_matrix_wrapper(rng):
     M = random_complex_matrix(rng, 3)
     got = immanant((2, 1), M)
@@ -134,8 +148,6 @@ def test_immanant_single_matrix_wrapper(rng):
 
 
 def test_immanant_invariant_under_simultaneous_relabeling(rng):
-    from immom.symgroup import all_permutations
-
     for n in (3, 4):
         M = random_complex_matrix(rng, n)
         for lam in partition_list(n):

@@ -5,9 +5,10 @@ subgroups generated), and algebraic identities among embed_pair, epsilon,
 and theta that each route verifies element by element.
 """
 
-from itertools import combinations
+from itertools import combinations, permutations
 from math import factorial
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -20,6 +21,7 @@ from immom.symgroup import (
     embed_pair,
     epsilon,
     interval,
+    permutation_table,
     theta,
 )
 
@@ -106,6 +108,16 @@ def test_all_permutations_order_and_count():
     ]
     for m in range(6):
         assert len(list(all_permutations(m))) == factorial(m)
+
+
+def test_permutation_table_matches_itertools_order():
+    for m in range(9):
+        want = np.array(list(permutations(range(m))), dtype=np.uint8)
+        want = want.reshape(factorial(m), m)
+        got = permutation_table(m)
+        assert got.dtype == np.uint8
+        assert got.shape == want.shape
+        assert np.array_equal(got, want)
 
 
 # ---------------------------------------------------------------------------

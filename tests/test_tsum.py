@@ -14,8 +14,8 @@ from immom import tsum
 from immom.characters import character_table
 from immom.moments import representatives
 from immom.partitions import hook_product, partition_index, partition_list
-from immom.symgroup import Permutation, all_permutations, all_subsets
-from immom.tsum import cycle_keyer, histogram_shard_sizes, perm_data, t_histogram_vec
+from immom.symgroup import Permutation, all_permutations, all_subsets, cycle_keyer
+from immom.tsum import histogram_shard_sizes, perm_data, t_histogram_vec
 
 
 def test_cycle_keyer_matches_scalar_cycle_type():
