@@ -5,11 +5,15 @@ d x d unitary has mean absolute square n!/N(lam, d), and fourth moment
 
     sum over xi of 2n:  A_xi(lam) / (H(xi) N(xi, d)),
 
-where the integer coefficients A_xi come from character-weighted cycle-type
-histograms of products eps_A pi eps_B gamma over the block-diagonal group V.
-The production path sums a small set of representatives (A, B) with integer
-multiplicities; the *_direct functions do the same job by unreduced
-enumeration over every swap pair and are kept as oracles for small n.
+where the integer coefficient A_xi is the character chi^xi summed against
+products eps_A pi eps_B gamma over swap sets A, B and pairs pi, gamma in the
+block-diagonal group V, weighted by the product character of lam.  The
+production path (second_moment) computes each A_xi inside the irrep xi, in
+Young's seminormal form modulo primes, recombined against a proven bound
+(see seminormal).  t_histogram gives the same sum for one swap pair as a
+cycle-type histogram from the enumeration kernel in tsum; the *_direct
+functions do that job by unreduced enumeration over every swap pair and are
+kept as oracles for small n.
 
 The d -> infinity scale of the fourth moment is an integer J(lam), computed
 here by its own factored character sum (j_pair / leading_coefficient), which
@@ -37,6 +41,7 @@ from .partitions import (
     unitary_numerator,
 )
 from .ratfun import RationalFunction
+from .seminormal import class_coefficients as _class_coefficients
 from .symgroup import (
     Permutation,
     all_permutations,
@@ -49,7 +54,6 @@ from .symgroup import (
     theta,
 )
 from .tsum import t_histogram_vec
-from . import tsum
 
 SECOND_MOMENT_LIMIT = 5
 LEADING_LIMIT = 9
@@ -124,43 +128,6 @@ def t_histogram(lam, A, B, shards=1, shard=None):
     return {classes[i]: int(v) for i, v in enumerate(hist) if v}
 
 
-def _histogram_shard(parts, A, B, shards, shard):
-    return t_histogram_vec(Partition(parts), A, B, shards, shard).tolist()
-
-
-def _class_coefficients(lam, workers=1):
-    """A_xi for every partition xi of 2n, as exact integers."""
-    lam = as_partition(lam)
-    n = lam.n
-    classes = partition_list(2 * n)
-    total = [0] * len(classes)
-    reps = representatives(n)
-    if workers > 1:
-        from multiprocessing import get_context
-
-        tasks = [(i, s) for i in range(len(reps)) for s in range(workers)]
-        args = [(lam.parts, reps[i][1], reps[i][2], workers, s) for i, s in tasks]
-        with get_context("fork").Pool(workers) as pool:
-            partials = pool.starmap(_histogram_shard, args)
-        for (i, _), part in zip(tasks, partials):
-            mult = reps[i][0]
-            for c, v in enumerate(part):
-                total[c] += mult * v
-    else:
-        for mult, A, B in reps:
-            hist = t_histogram_vec(lam, A, B)
-            for c, v in enumerate(hist.tolist()):
-                total[c] += mult * v
-    table = character_table(2 * n)
-    coeffs = {}
-    for xi in classes:
-        row = table.row(xi)
-        a = sum(total[c] * int(row[c]) for c in range(len(classes)))
-        if a:
-            coeffs[xi] = a
-    return coeffs
-
-
 def _assemble_rational(coeffs):
     total = RationalFunction(0)
     for xi, a in coeffs.items():
@@ -185,7 +152,9 @@ def second_moment_report(lam, workers=1, limit=None) -> SecondMomentReport:
 
     Always recomputes (timings are honest); second_moment() is the cached
     value-only variant.  The default size guard stops at n = 5; pass a
-    larger limit explicitly to go beyond it.
+    larger limit explicitly to go beyond it.  The computation is serial:
+    workers is accepted for API compatibility and ignored, and the report
+    records the one worker used.
     """
     lam = as_partition(lam)
     n = lam.n
@@ -196,7 +165,7 @@ def second_moment_report(lam, workers=1, limit=None) -> SecondMomentReport:
             f"pass a larger limit to override"
         )
     t0 = time.perf_counter()
-    coeffs = _class_coefficients(lam, workers=workers)
+    coeffs = _class_coefficients(lam)
     value = _assemble_rational(coeffs)
     return SecondMomentReport(
         lam=lam,
@@ -204,7 +173,7 @@ def second_moment_report(lam, workers=1, limit=None) -> SecondMomentReport:
         value=value,
         class_coefficients=coeffs,
         wall_time_s=time.perf_counter() - t0,
-        workers=workers,
+        workers=1,
     )
 
 
@@ -214,10 +183,12 @@ def _second_moment_cached(parts, limit):
 
 
 def second_moment(lam, workers=1, limit=None) -> RationalFunction:
-    """Fourth moment of |Imm_lam M| as an exact rational function of d."""
+    """Fourth moment of |Imm_lam M| as an exact rational function of d.
+
+    workers is accepted for API compatibility and ignored (the engine is
+    serial).
+    """
     lam = as_partition(lam)
-    if workers > 1:
-        return second_moment_report(lam, workers=workers, limit=limit).value
     return _second_moment_cached(lam.parts, limit)
 
 
@@ -287,8 +258,9 @@ def j_pair(lam, l, k) -> int:
     Equals the sum over x+, x- in S_l and y+, y- in S_(n-l) of the product
     F[x+,y+] F[x-,y-] F[x-,y+] F[x+,y-] with F[x,y] the character of
     theta(l,k) composed with the block permutation x (+) y; collapsing the
-    y sums first turns it into the sum of squares of an integer Gram
-    matrix, which is how it is evaluated.
+    sums over the larger side first turns it into the sum of squares of an
+    integer Gram matrix on the smaller side (F F^T when l <= n - l, else
+    F^T F; the two sums of squares are equal), which is how it is evaluated.
     """
     lam = as_partition(lam)
     n = lam.n
@@ -301,10 +273,13 @@ def j_pair(lam, l, k) -> int:
     composed = th[combined]
     chi_row = character_table(n).row(lam)
     chimax = int(np.abs(chi_row).max())
-    if len(y_side) * chimax * chimax >= 2**53:
+    contraction = max(len(x_side), len(y_side))
+    if contraction * chimax * chimax >= 2**53:
         raise RuntimeError("character sums too large for exact float64 matmul")
     cls = cycle_keyer(n)(composed.reshape(-1, n))
     F = chi_row[cls].reshape(len(x_side), len(y_side)).astype(np.float64)
+    if len(x_side) > len(y_side):
+        F = F.T
     G = F @ F.T
     Gi = np.rint(G)
     if not np.array_equal(Gi, G):

@@ -1,0 +1,365 @@
+"""Exact fourth-moment coefficients inside one irrep of S_2n at a time.
+
+For a shape lam of n, the fourth moment's coefficient on the irrep xi of
+S_2n is
+
+    A_xi(lam) = sum over swap sets A, B and pi, gamma in V of
+                hatchi(pi) hatchi(gamma) chi^xi(eps_A pi eps_B gamma)
+              = 4^n c^2 tr(QPQP),
+
+where rho is the representation xi and:
+
+  * sum_A rho(eps_A) = 2^n Q, with Q = prod_i (1 + rho(s_i))/2 the
+    projection onto the vectors fixed by every s_i = (i, n+i);
+  * sum_(pi in V) hatchi(pi) rho(pi) = c P, with c = (n!/f_lam)^2 and P the
+    projection onto the lam x lam isotypic part of xi restricted to V;
+  * P = P1 W P1 W, with W = rho(eps_[n]) and P1 the diagonal selector of
+    the standard tableaux whose letters 1..n fill lam.
+
+Since W Q = Q, tr(QPQP) = tr((G^-1 H)^2) with B a basis of the range of Q,
+G = B^T D B and H = B^T D P1 W P1 B, where D is the diagonal form that
+makes rho orthogonal.
+
+All of the work is adjacent transpositions s_k acting on f_xi x q blocks
+(two terms per row) and q x q products.  The interleaving g, with
+g(2i) = i and g(2i+1) = n+i, conjugates s_(2i) to (i, n+i).  So
+B = rho(g) Q' R spans the range of Q, where Q' = prod_i (1 + rho(s_(2i)))/2
+and R is a random f_xi x q draw.  Likewise W = rho(g) rho(E) rho(g)^-1 with
+E = prod_i s_(2i).  This needs n(n+1) letters instead of the n(2n-1) of
+the palindromes (i, n+i) = s_i ... s_(n+i-1) ... s_i plus the n^2 of a
+reduced word of eps_[n].
+
+Everything is computed in Young's seminormal form, modulo primes just below
+2**25, and recombined by the Chinese remainder theorem.  With r the axial
+distance c_T(k+1) - c_T(k) of letters k, k+1 in the tableau T,
+
+    rho(s_k) v_T = (1/r) v_T + alpha_T v_(s_k T),
+    alpha_T = 1 if r > 0 else 1 - 1/r^2,
+
+and there is no partner tableau when |r| = 1 (the action is then +-1).
+Every denominator is a nonzero r or r^2 - 1 with |r| < 2n, so no entry
+vanishes modulo such a prime.  Exactness rests on a bound proven before any
+arithmetic: in the orthogonal form Q and P are orthogonal projections, so
+tr(QPQP) = ||QPQ||_F^2 <= rank Q = q, and 0 <= A_xi <= 4^n c^2 q.  Primes
+are taken until their product exceeds that bound.  A prime is skipped when
+G is singular modulo it, which also covers a basis B of rank below q
+(rank G <= rank B); when the primes run out the engine raises
+ArithmeticError rather than return an unchecked integer.
+
+The tables of each xi (row words, contents, partners and axial distances
+per adjacent transposition) are built with numpy and cached; nothing that
+depends on lam is cached.  References: Okounkov and Vershik, Selecta Math.
+2 (1996) 581-605, for the Young bases; Collins and Sniady, CMP 264 (2006)
+773-795, for the Weingarten sum this replaces.
+"""
+
+from __future__ import annotations
+
+import logging
+from functools import cache
+from math import comb, factorial, isqrt, log2
+
+import numpy as np
+
+from .characters import character
+from .partitions import Partition, as_partition, dim_symmetric, partition_list
+
+log = logging.getLogger(__name__)
+
+_PRIME_CEILING = 1 << 25
+_PRIME_COUNT = 16
+_INT64_MAX = (1 << 63) - 1
+
+
+@cache
+def primes() -> tuple[int, ...]:
+    """The moduli: the largest primes below 2**25, in descending order."""
+    found = []
+    cand = _PRIME_CEILING - 1
+    while len(found) < _PRIME_COUNT:
+        if all(cand % d for d in range(3, isqrt(cand) + 1, 2)):
+            found.append(cand)
+        cand -= 2
+    return tuple(found)
+
+
+class Tableaux:
+    """The standard Young tableaux of one shape, in lexicographic order of
+    their row words, with the data of the seminormal action.
+
+    words[T, k] is the row of letter k (0-based), contents[T, k] its
+    content col - row; partner[k, T] is the index of s_k T, or T itself
+    when s_k T is not standard, and axial[k, T] = c_T(k+1) - c_T(k).
+    """
+
+    def __init__(self, shape):
+        self.shape = as_partition(shape)
+        m = self.shape.n
+        words = _row_words(self.shape.parts)
+        rows = len(self.shape.parts)
+        powers = rows ** np.arange(m - 1, -1, -1, dtype=np.int64)
+        codes = words.astype(np.int64) @ powers
+        order = np.argsort(codes)
+        words, codes = words[order], codes[order]
+        cols = np.zeros(words.shape, dtype=np.int64)
+        for r in range(rows):
+            in_row = words == r
+            cols[in_row] = (np.cumsum(in_row, axis=1) - 1)[in_row]
+        contents = cols - words
+        size = len(words)
+        partner = np.empty((m - 1, size), dtype=np.int64)
+        axial = np.empty((m - 1, size), dtype=np.int64)
+        own = np.arange(size)
+        for k in range(m - 1):
+            axial[k] = contents[:, k + 1] - contents[:, k]
+            swappable = (words[:, k] != words[:, k + 1]) & (cols[:, k] != cols[:, k + 1])
+            step = (words[:, k + 1].astype(np.int64) - words[:, k]) * (
+                powers[k] - powers[k + 1])
+            partner[k] = np.where(
+                swappable, np.searchsorted(codes, codes + step), own)
+        self.words = words
+        self.contents = contents
+        self.partner = partner
+        self.axial = axial
+
+    def __len__(self):
+        return len(self.words)
+
+    def filling(self, lam) -> np.ndarray:
+        """Indices of the tableaux whose letters 1..|lam| fill lam."""
+        lam = as_partition(lam)
+        head = self.words[:, :lam.n]
+        keep = np.ones(len(self), dtype=bool)
+        for r in range(len(self.shape.parts)):
+            part = lam.parts[r] if r < len(lam.parts) else 0
+            keep &= (head == r).sum(axis=1) == part
+        return np.flatnonzero(keep)
+
+    def form(self, p) -> np.ndarray:
+        """The diagonal invariant form modulo p.
+
+        d_T is the product of alpha(a) = 1 - 1/a^2 over the letters i < j
+        with a = c_T(j) - c_T(i) <= -2.  Swapping k, k+1 turns the pair's
+        a = r into -r and permutes the other pairs, so d_(sT) alpha_T =
+        d_T alpha_(sT) on every edge and rho(g)^T D rho(g) = D.
+        """
+        m = self.shape.n
+        i, j = np.triu_indices(m, 1)
+        a = self.contents[:, j] - self.contents[:, i]
+        _, alpha = _fractions(m, p)
+        factors = np.where(a <= -2, alpha[a + m], 1)
+        while factors.shape[1] > 1:
+            if factors.shape[1] % 2:
+                factors = np.concatenate(
+                    [factors, np.ones((len(self), 1), dtype=np.int64)], axis=1)
+            factors = factors[:, 0::2] * factors[:, 1::2] % p
+        return factors[:, 0]
+
+    def action(self, p):
+        """Per adjacent transposition s_k, the coefficients (diag, off) of
+        the row update new[T] = diag[T] x[T] + off[T] x[s_k T] modulo p."""
+        m = self.shape.n
+        r = self.axial
+        inverse, alpha = _fractions(m, p)
+        # the coefficient on x[s_k T] is alpha of the partner, whose axial
+        # distance is -r: 1 when r < 0, alpha(r) when r > 0
+        off = np.where(r < 0, 1, alpha[r + m])
+        off[self.partner == np.arange(len(self))] = 0
+        return inverse[r + m], off
+
+
+@cache
+def tableaux(shape) -> Tableaux:
+    """The cached tables of one shape (a tuple of parts)."""
+    return Tableaux(shape)
+
+
+def _row_words(parts):
+    """Row words of all standard tableaux of the shape, one letter at a time."""
+    cap = np.array(parts, dtype=np.int64)
+    words = np.zeros((1, 0), dtype=np.uint8)
+    counts = np.zeros((1, len(parts)), dtype=np.int64)
+    for _ in range(sum(parts)):
+        grown_words, grown_counts = [], []
+        for r in range(len(parts)):
+            ok = counts[:, r] < cap[r]
+            if r:
+                ok &= counts[:, r - 1] > counts[:, r]
+            w = np.concatenate(
+                [words[ok], np.full((int(ok.sum()), 1), r, dtype=np.uint8)], axis=1)
+            c = counts[ok]
+            c[:, r] += 1
+            grown_words.append(w)
+            grown_counts.append(c)
+        words = np.concatenate(grown_words)
+        counts = np.concatenate(grown_counts)
+    return words
+
+
+def _fractions(m, p):
+    """Tables of 1/a and alpha(a) = 1 - 1/a^2 modulo p, indexed by a + m for
+    -m <= a <= m (a = 0 never occurs; alpha is read only where |a| >= 2)."""
+    inverse = np.zeros(2 * m + 1, dtype=np.int64)
+    alpha = np.zeros(2 * m + 1, dtype=np.int64)
+    for a in range(-m, m + 1):
+        if a:
+            inverse[a + m] = pow(a, -1, p)
+            alpha[a + m] = (a * a - 1) * pow(a * a, -1, p) % p
+    return inverse, alpha
+
+
+def _apply(word, x, action, partner, p):
+    """rho(s_(word[0]) s_(word[1]) ...) x modulo p: the last letter acts first."""
+    diag, off = action
+    for k in reversed(word):
+        y = x[partner[k]]
+        y *= off[k][:, None]
+        x = x * diag[k][:, None]
+        x += y
+        x %= p
+    return x
+
+
+def _gram(x, y, p):
+    """x^T y modulo p.  Products of residues are below (p-1)^2, so the
+    contraction over rows is chunked to keep every int64 partial sum at
+    most 2**63 - 1."""
+    chunk = _INT64_MAX // (p - 1) ** 2
+    if chunk < 1:
+        raise ArithmeticError(f"modulus {p} too large for int64 products")
+    out = np.zeros((x.shape[1], y.shape[1]), dtype=np.int64)
+    for s in range(0, len(x), chunk):
+        out += np.einsum("ki,kj->ij", x[s:s + chunk], y[s:s + chunk]) % p
+        out %= p
+    return out
+
+
+def _solve(g, h, p):
+    """G^-1 H modulo p by Gauss-Jordan elimination, or None when G is
+    singular modulo p."""
+    q = len(g)
+    m = np.concatenate([g, h], axis=1) % p
+    for col in range(q):
+        nonzero = np.flatnonzero(m[col:, col])
+        if not len(nonzero):
+            return None
+        pivot = col + nonzero[0]
+        if pivot != col:
+            m[[col, pivot]] = m[[pivot, col]]
+        m[col] = m[col] * pow(int(m[col, col]), -1, p) % p
+        factors = m[:, col].copy()
+        factors[col] = 0
+        m = (m - np.outer(factors, m[col]) % p) % p
+    return m[:, q:]
+
+
+def _draw(shape, p):
+    """Fixed-seed random residues modulo p: the columns Q is applied to."""
+    return np.random.default_rng(p).integers(0, p, size=shape, dtype=np.int64)
+
+
+def reduced_word(img):
+    """A reduced word of the permutation with 0-based images img: the list
+    w with img = s_(w[0]) o s_(w[1]) o ... (o composes right to left)."""
+    img = list(img)
+    swaps = []
+    for end in range(len(img) - 1, 0, -1):
+        for k in range(end):
+            if img[k] > img[k + 1]:
+                img[k], img[k + 1] = img[k + 1], img[k]
+                swaps.append(k)
+    # each swap composed img with s_k on the right until it became the identity
+    return swaps[::-1]
+
+
+def interleave(n):
+    """The g with g(2i) = i and g(2i+1) = n+i, so that conjugating by g
+    turns s_(2i) = (2i, 2i+1) into (i, n+i), as 0-based images."""
+    img = [0] * (2 * n)
+    for i in range(n):
+        img[2 * i], img[2 * i + 1] = i, n + i
+    return img
+
+
+def fixed_rank(xi, n) -> int:
+    """q = rank of Q in xi: 2^-n sum_k C(n, k) chi^xi(2^k 1^(2n-2k))."""
+    total = sum(comb(n, k) * character(xi, (2,) * k + (1,) * (2 * n - 2 * k))
+                for k in range(n + 1))
+    return total >> n
+
+
+def _residue(tab, fill, n, q, scale, p):
+    """A_xi(lam) modulo p, or None when G is singular modulo p."""
+    action = tab.action(p)
+    d = tab.form(p)
+    pairs = [2 * i for i in range(n)]
+    g_word = reduced_word(interleave(n))
+    # C = Q' R spans the range of Q' = prod_i (1 + rho(s_(2i)))/2, and
+    # B = rho(g) C the range of Q = rho(g) Q' rho(g)^-1 (the scalar 2^-n
+    # drops out of tr((G^-1 H)^2)); D-orthogonality of rho(g) gives
+    # G = C^T D C
+    low = _draw((len(tab), q), p)
+    for k in pairs:
+        low = (low + _apply([k], low, action, tab.partner, p)) % p
+    basis = _apply(g_word, low, action, tab.partner, p)
+    selected = np.zeros_like(basis)
+    selected[fill] = basis[fill]
+    # W = rho(g) rho(E) rho(g)^-1 with E = prod_i s_(2i), so with
+    # Y = rho(g)^-1 P1 B, H = B^T D P1 W P1 B = Y^T D rho(E) Y
+    back = _apply(g_word[::-1], selected, action, tab.partner, p)
+    image = _apply(pairs, back, action, tab.partner, p)
+    g = _gram(low, d[:, None] * low % p, p)
+    h = _gram(back, d[:, None] * image % p, p)
+    x = _solve(g, h, p)
+    if x is None:
+        return None
+    trace = int((x * x.T % p).sum()) % p
+    return scale % p * trace % p
+
+
+def coefficient(lam, xi) -> int:
+    """A_xi(lam) as an exact integer."""
+    lam, xi = as_partition(lam), as_partition(xi)
+    n = lam.n
+    if xi.n != 2 * n:
+        raise ValueError("xi must partition twice |lam|")
+    if len(lam) > len(xi) or any(a > b for a, b in zip(lam, xi)):
+        return 0
+    q = fixed_rank(xi, n)
+    if q == 0:
+        return 0
+    tab = tableaux(xi.parts)
+    fill = tab.filling(lam)
+    c = (factorial(n) // dim_symmetric(lam)) ** 2
+    scale = 4**n * c * c
+    bound = scale * q
+    value, modulus, used = 0, 1, 0
+    for p in primes():
+        if modulus > bound:
+            break
+        r = _residue(tab, fill, n, q, scale, p)
+        if r is None:
+            continue
+        value += modulus * ((r - value) * pow(modulus, -1, p) % p)
+        modulus *= p
+        used += 1
+    if modulus <= bound:
+        raise ArithmeticError(
+            f"A_{xi}({lam}): the usable primes multiply to {modulus}, "
+            f"not above the proven bound {bound}"
+        )
+    if log.isEnabledFor(logging.DEBUG):
+        log.debug("xi=%s f=%d q=%d primes=%d headroom_bits=%.1f",
+                  xi, len(tab), q, used, log2(modulus) - log2(bound))
+    return value
+
+
+def class_coefficients(lam) -> dict[Partition, int]:
+    """The nonzero A_xi(lam) for every partition xi of 2n, in canonical order."""
+    lam = as_partition(lam)
+    coeffs = {}
+    for xi in partition_list(2 * lam.n):
+        a = coefficient(lam, xi)
+        if a:
+            coeffs[xi] = a
+    return coeffs

@@ -11,15 +11,19 @@ Oracles, in increasing strength:
     determinant, permanent, and general routes.
 """
 
+import logging
+import re
 from fractions import Fraction
 from math import comb, factorial
 
 import pytest
 
-from immom.characters import character_of
+from immom import seminormal
+from immom.characters import character_of, character_table
 from immom.moments import (
     LEADING_LIMIT,
     SECOND_MOMENT_LIMIT,
+    _class_coefficients,
     det_moment,
     j_pair,
     j_pair_direct,
@@ -40,6 +44,7 @@ from immom.moments import (
 from immom.partitions import (
     Partition,
     conjugate,
+    dim_symmetric,
     partition_list,
 )
 from immom.ratfun import RationalFunction as R
@@ -318,6 +323,89 @@ def test_second_moment_limit_guard():
     assert second_moment((2,), limit=SECOND_MOMENT_LIMIT) == second_moment((2,))
 
 
+def test_second_moment_column_of_six_is_the_determinant_moment():
+    assert second_moment((1,) * 6, limit=6) == det_moment(6, 2)
+
+
+@pytest.mark.slow
+def test_second_moment_row_of_six_is_the_permanent_conjecture():
+    assert second_moment((6,), limit=6) == perm_fourth_conjecture(6)
+
+
+# ---------------------------------------------------------------------------
+# the character-side engine against the enumeration kernel
+
+
+def _enumerated_class_coefficients(lam):
+    """A_xi from every representative's cycle-type histogram, contracted
+    with the characters of S_2n."""
+    n = sum(lam)
+    total = {}
+    for mult, A, B in representatives(n):
+        for ct, v in t_histogram(lam, A, B).items():
+            total[ct] = total.get(ct, 0) + mult * v
+    table = character_table(2 * n)
+    coeffs = {}
+    for xi in partition_list(2 * n):
+        a = sum(v * table.value(xi, ct) for ct, v in total.items())
+        if a:
+            coeffs[xi] = a
+    return coeffs
+
+
+def test_class_coefficients_match_the_enumeration_kernel():
+    for n in range(1, 5):
+        for lam in partition_list(n):
+            assert _class_coefficients(lam) == _enumerated_class_coefficients(lam), lam
+
+
+def test_engine_skips_a_prime_whose_basis_is_rank_deficient(monkeypatch):
+    lam = (2, 2)
+    expected = _class_coefficients(lam)
+    first = seminormal.primes()[0]
+    draw, residue = seminormal._draw, seminormal._residue
+    skipped = []
+
+    def deficient(shape, p):
+        out = draw(shape, p)
+        if p == first:
+            out[:, -1] = 0
+        return out
+
+    def watched(*args):
+        r = residue(*args)
+        if r is None:
+            skipped.append(args[-1])
+        return r
+
+    monkeypatch.setattr(seminormal, "_draw", deficient)
+    monkeypatch.setattr(seminormal, "_residue", watched)
+    assert _class_coefficients(lam) == expected
+    assert len(skipped) >= len(expected) and set(skipped) == {first}
+
+
+def test_engine_refuses_when_the_primes_run_out(monkeypatch):
+    lam = (1, 1, 1, 1)
+    p = seminormal.primes()[0]
+    c = (factorial(4) // dim_symmetric(lam)) ** 2
+    assert 4**4 * c * c > p  # one prime is below the bound of every xi with q > 0
+    monkeypatch.setattr(seminormal, "primes", lambda: (p,))
+    with pytest.raises(ArithmeticError, match="bound"):
+        _class_coefficients(lam)
+
+
+def test_engine_logs_positive_headroom_per_xi(caplog):
+    with caplog.at_level(logging.DEBUG, logger="immom.seminormal"):
+        coeffs = _class_coefficients((2, 1))
+    lines = [r.getMessage() for r in caplog.records if r.name == "immom.seminormal"]
+    assert len(lines) >= len(coeffs)
+    for line in lines:
+        fields = dict(re.findall(r"(\w+)=(\S+)", line))
+        assert {"xi", "f", "q", "primes", "headroom_bits"} <= set(fields)
+        assert int(fields["primes"]) >= 1
+        assert float(fields["headroom_bits"]) > 0
+
+
 # ---------------------------------------------------------------------------
 # representative reduction bookkeeping
 
@@ -362,6 +450,13 @@ def test_j_pair_matches_direct_membership_route():
                     assert j_pair(lam, l, k) == j_pair_direct(lam, A, B), (
                         lam, l, k,
                     )
+
+
+def test_j_pair_full_swap_is_the_square_of_the_group_order():
+    # l = n, k = 0 leaves F[x] = chi(x), whose Gram entry is sum chi^2 = n!
+    shapes = [lam for n in range(1, 7) for lam in partition_list(n)]
+    for lam in shapes + [Partition((1,) * 8)]:
+        assert j_pair(lam, lam.n, 0) == factorial(lam.n) ** 2, lam
 
 
 def test_leading_coefficient_matches_direct_route():
