@@ -2,10 +2,15 @@
 
 Haar unitaries are drawn as QR factorizations of complex Ginibre matrices
 with the R-diagonal phase folded back into Q (without that correction QR
-output is not Haar).  Sampling is organized in fixed-size chunks, each
-seeded by a counter-based generator keyed on (seed, row, chunk), so results
-are bit-for-bit reproducible for a given seed no matter how many workers
-run the chunks; per-chunk running statistics are merged in chunk order.
+output is not Haar).  The estimators read only a few leading columns of U,
+so they draw only those: the first k columns of a Haar d x d unitary have
+the law of the phase-fixed Q factor of a thin QR of a d x k Ginibre matrix
+(Mezzadri 2007, math-ph/0609050).  Sampling is organized in fixed-size
+chunks, each seeded by a counter-based generator keyed on (seed, row,
+chunk), so results are bit-for-bit reproducible for a given seed no matter
+how many workers run the chunks; per-chunk running statistics are merged in
+chunk order.  Workers are forked where the platform can fork and spawned
+elsewhere.
 
 Immanants are evaluated from their definition as character-weighted
 permutation sums, with determinant and permanent fast paths (numpy's det,
@@ -32,9 +37,19 @@ def _rng(seed, row, chunk):
     return np.random.Generator(np.random.Philox(key=[int(seed) & (2**64 - 1), key2]))
 
 
-def haar_batch(d, count, rng):
-    """Stack of `count` independent Haar d x d unitaries."""
-    g = rng.standard_normal((count, d, d)) + 1j * rng.standard_normal((count, d, d))
+def haar_batch(d, count, rng, k=None):
+    """The first `k` columns (default all d) of `count` independent Haar
+    d x d unitaries, as a (count, d, k) stack.
+
+    Only those columns are drawn: the phase-fixed Q of a thin QR of a d x k
+    complex Ginibre matrix has the law of the first k columns of a Haar
+    unitary (Mezzadri 2007, math-ph/0609050).  For one Ginibre stack it is
+    the leading k columns of the full draw, up to rounding.
+    """
+    k = d if k is None else k
+    if not 0 <= k <= d:
+        raise ValueError(f"column count must lie in 0..{d}, got {k}")
+    g = rng.standard_normal((count, d, k)) + 1j * rng.standard_normal((count, d, k))
     q, r = np.linalg.qr(g)
     diag = np.einsum("...ii->...i", r)
     mag = np.abs(diag)
@@ -67,8 +82,11 @@ def immanant_batch(lam, M):
     if lam.parts == (n,):
         return permanent_batch(M)
     perms, chars = _char_data(lam.parts)
-    rows = np.arange(n)[None, :]
-    terms = M[:, rows, perms].prod(axis=2)
+    # row by row, so no (B, n!, n) gather is formed; the product order is
+    # that of prod(axis=2) over the gather, so the values are the same
+    terms = M[:, 0, perms[:, 0]]
+    for i in range(1, n):
+        terms *= M[:, i, perms[:, i]]
     return terms @ chars
 
 
@@ -132,13 +150,13 @@ def _chunk_stats(task, chunk, count):
     if kind == "immanant":
         _, parts, n, d, power, seed, row = task
         rng = _rng(seed, row, chunk)
-        u = haar_batch(d, count, rng)
-        vals = np.abs(immanant_batch(Partition(parts), u[:, :n, :n])) ** power
+        u = haar_batch(d, count, rng, n)
+        vals = np.abs(immanant_batch(Partition(parts), u[:, :n])) ** power
         vals = vals.astype(np.complex128)
     else:
         _, rows, cols, crows, ccols, d, seed, row = task
         rng = _rng(seed, row, chunk)
-        u = haar_batch(d, count, rng)
+        u = haar_batch(d, count, rng, 1 + max(cols + ccols, default=-1))
         left = np.prod(u[:, rows, cols], axis=1)
         right = np.prod(u[:, crows, ccols], axis=1)
         vals = left * np.conj(right)
@@ -161,9 +179,10 @@ def _chunk_plan(samples):
 def _run_chunks(task, samples, workers):
     plan = _chunk_plan(samples)
     if workers > 1:
-        from multiprocessing import get_context
+        import multiprocessing
 
-        with get_context("fork").Pool(workers) as pool:
+        method = "fork" if "fork" in multiprocessing.get_all_start_methods() else "spawn"
+        with multiprocessing.get_context(method).Pool(workers) as pool:
             stats = pool.starmap(_chunk_stats, [(task, c, k) for c, k in plan])
     else:
         stats = [_chunk_stats(task, c, k) for c, k in plan]
@@ -199,6 +218,10 @@ def estimate_monomial(rows, cols, conj_rows, conj_cols, d, samples, seed,
 
     Index lists are 1-based, matching the exact monomial integrals.
     """
+    if len(rows) != len(cols) or len(conj_rows) != len(conj_cols):
+        raise ValueError("rows and cols, and conj_rows and conj_cols, must have equal lengths")
+    if not all(1 <= i <= d for i in (*rows, *cols, *conj_rows, *conj_cols)):
+        raise ValueError(f"indices are 1-based and must lie in 1..{d}")
     if samples < 2:
         raise ValueError("need at least 2 samples for a standard error")
     r = tuple(i - 1 for i in rows)

@@ -6,6 +6,7 @@ means checked against the exact closed forms, and the reproducibility
 contract checked bit for bit.
 """
 
+import multiprocessing
 from fractions import Fraction
 from math import sqrt
 
@@ -37,6 +38,20 @@ from immom.symgroup import all_permutations
 # Haar unitaries
 
 
+class _FixedGinibre:
+    """Stands in for a generator: each standard_normal call hands out the
+    leading columns of the next of two fixed Gaussian stacks, so a thin and
+    a full draw factor the same Ginibre matrix."""
+
+    def __init__(self, real, imag):
+        self.parts = [real, imag]
+
+    def standard_normal(self, shape):
+        part = self.parts.pop(0)
+        assert part.shape[:-1] == shape[:-1]
+        return part[..., : shape[-1]]
+
+
 def test_haar_batch_shape_and_unitarity():
     rng = np.random.default_rng(5)
     for d in (1, 2, 3, 8, 64):
@@ -46,6 +61,20 @@ def test_haar_batch_shape_and_unitarity():
         eye = np.eye(d)
         for U in batch:
             assert np.abs(U.conj().T @ U - eye).max() <= 1e-12
+    # the thin draw is the full draw's leading columns, and has orthonormal
+    # columns, when both factor one Ginibre stack
+    for d in (1, 2, 5, 20):
+        real = rng.standard_normal((5, d, d))
+        imag = rng.standard_normal((5, d, d))
+        full = haar_batch(d, 5, _FixedGinibre(real, imag))
+        for k in sorted({1, (d + 1) // 2, d}):
+            thin = haar_batch(d, 5, _FixedGinibre(real, imag), k)
+            assert thin.shape == (5, d, k)
+            assert np.allclose(thin, full[..., :k], rtol=0, atol=1e-12), (d, k)
+            gram = thin.conj().transpose(0, 2, 1) @ thin
+            assert np.abs(gram - np.eye(k)).max() <= 1e-12, (d, k)
+    with pytest.raises(ValueError):
+        haar_batch(3, 2, rng, 4)
 
 
 def test_haar_unitary_single():
@@ -140,6 +169,20 @@ def test_character_data_is_exact_per_permutation():
             assert np.array_equal(chars, [character(lam, p.cycle_type()) for p in perms])
 
 
+def test_general_immanant_is_the_gather_product_bit_for_bit():
+    # the gather-and-prod form the row-by-row product replaced, kept as the
+    # reference; (n) and (1^n) take the permanent and determinant paths
+    rng = np.random.default_rng(17)
+    for n in range(1, 7):
+        M = rng.standard_normal((9, n, n)) + 1j * rng.standard_normal((9, n, n))
+        for lam in partition_list(n):
+            if lam.parts in ((n,), (1,) * n):
+                continue
+            perms, chars = _char_data(lam.parts)
+            want = M[:, np.arange(n)[None, :], perms].prod(axis=2) @ chars
+            assert np.array_equal(immanant_batch(lam, M), want), lam
+
+
 def test_immanant_single_matrix_wrapper(rng):
     M = random_complex_matrix(rng, 3)
     got = immanant((2, 1), M)
@@ -210,6 +253,22 @@ def test_worker_count_does_not_change_the_stream():
     assert a.stderr == b.stderr
 
 
+def test_spawned_workers_do_not_change_the_stream(monkeypatch):
+    # where fork does not exist the pool spawns its workers
+    methods = []
+    get_context = multiprocessing.get_context
+    monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
+    monkeypatch.setattr(
+        multiprocessing, "get_context",
+        lambda method=None: methods.append(method) or get_context(method),
+    )
+    a = estimate_moment((2, 1), 4, 2, samples=2 * CHUNK + 17, seed=9, workers=1)
+    b = estimate_moment((2, 1), 4, 2, samples=2 * CHUNK + 17, seed=9, workers=2)
+    assert methods == ["spawn"]
+    assert a.estimate == b.estimate
+    assert a.stderr == b.stderr
+
+
 def test_chunk_boundaries_and_counts():
     for samples in (2, CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK + 5):
         est = estimate_moment((1,), 2, 2, samples=samples, seed=3)
@@ -230,6 +289,22 @@ def test_monomial_estimator_seed_contract():
     assert a.estimate == b.estimate
     with pytest.raises(ValueError):
         estimate_monomial([1], [1], [1], [1], 2, samples=1, seed=4)
+
+
+@pytest.mark.parametrize(
+    "rows, cols, conj_rows, conj_cols",
+    [
+        ([1, 2], [1], [1, 2], [1]),  # rows and cols of unequal length
+        ([1], [1], [1, 2], [1]),  # conj_rows and conj_cols of unequal length
+        ([0], [1], [1], [1]),  # 1-based: 0 would wrap to row d
+        ([1], [1], [1], [0]),
+        ([4], [1], [4], [1]),  # above d
+        ([1], [1], [1], [4]),
+    ],
+)
+def test_monomial_estimator_rejects_malformed_indices(rows, cols, conj_rows, conj_cols):
+    with pytest.raises(ValueError):
+        estimate_monomial(rows, cols, conj_rows, conj_cols, 3, samples=100, seed=4)
 
 
 # ---------------------------------------------------------------------------
