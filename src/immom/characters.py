@@ -52,15 +52,6 @@ def character_of(lam, perm) -> int:
     return character(lam, perm.cycle_type())
 
 
-def hat_character(lam, p_plus, p_minus) -> int:
-    """Character of the outer square irrep on the block pair (p_plus, p_minus).
-
-    The doubled group of block-diagonal pairs carries the irrep lam x lam,
-    whose character at (p, q) is chi(p) * chi(q).
-    """
-    return character_of(lam, p_plus) * character_of(lam, p_minus)
-
-
 def class_size(mu) -> int:
     """Number of permutations with cycle type mu."""
     mu = as_partition(mu)

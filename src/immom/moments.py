@@ -10,10 +10,11 @@ products eps_A pi eps_B gamma over swap sets A, B and pairs pi, gamma in the
 block-diagonal group V, weighted by the product character of lam.  The
 production path (second_moment) computes each A_xi inside the irrep xi, in
 Young's seminormal form modulo primes, recombined against a proven bound
-(see seminormal).  t_histogram gives the same sum for one swap pair as a
-cycle-type histogram from the enumeration kernel in tsum; the *_direct
-functions do that job by unreduced enumeration over every swap pair and are
-kept as oracles for small n.
+(see seminormal).  t_histogram gives the sum for one swap pair as a
+cycle-type histogram, recovered from the same engine's per-pair
+coefficients by column orthogonality (see tsum); the *_direct functions do
+that job by unreduced enumeration over every swap pair and are kept as
+oracles for small n.
 
 The d -> infinity scale of the fourth moment is an integer J(lam), computed
 here by its own factored character sum (j_pair / leading_coefficient), which
@@ -53,7 +54,7 @@ from .symgroup import (
     permutation_table,
     theta,
 )
-from .tsum import t_histogram_vec
+from .tsum import t_histogram
 
 SECOND_MOMENT_LIMIT = 5
 LEADING_LIMIT = 9
@@ -92,7 +93,7 @@ def perm_fourth_conjecture(n) -> RationalFunction:
 
 
 # ---------------------------------------------------------------------------
-# fourth moment via cycle-type histograms
+# fourth moment via the swap-pair representatives
 
 
 def representatives(n):
@@ -110,22 +111,6 @@ def representatives(n):
                 reps.append((mult, interval(l), interval(l + k, l - j)))
     assert sum(m for m, _, _ in reps) == 4**n
     return reps
-
-
-def t_histogram(lam, A, B, shards=1, shard=None):
-    """Weighted cycle-type histogram for the swap pair (A, B) as a dict.
-
-    Weights sum hatchi(pi) hatchi(gamma) over pairs whose product
-    eps_A pi eps_B gamma lies in each class of S_2n; zero entries are
-    dropped.  With shard=None all shards are summed.
-    """
-    lam = as_partition(lam)
-    if shard is None:
-        hist = sum(t_histogram_vec(lam, A, B, shards, s) for s in range(shards))
-    else:
-        hist = t_histogram_vec(lam, A, B, shards, shard)
-    classes = partition_list(2 * lam.n)
-    return {classes[i]: int(v) for i, v in enumerate(hist) if v}
 
 
 def _assemble_rational(coeffs):

@@ -30,6 +30,7 @@ from .partitions import Partition, as_partition
 from .symgroup import cycle_keyer, permutation_table
 
 CHUNK = 4096
+_SIGN_BLOCK = 64  # sign vectors per permanent block: all of them for n <= 7
 
 
 def _rng(seed, row, chunk):
@@ -97,18 +98,22 @@ def immanant(lam, M):
 
 
 def permanent_batch(M):
-    """Permanents of a stack (B, n, n) via the half-size +-1 sign sum."""
+    """Permanents of a stack (B, n, n) via the half-size +-1 sign sum.
+
+    The 2^(n-1) sign vectors (delta_1 fixed at +1) are summed in blocks of
+    at most _SIGN_BLOCK, so a call holds a (B, _SIGN_BLOCK, n) array rather
+    than (B, 2^(n-1), n).
+    """
     n = M.shape[-1]
     if n == 1:
         return M[:, 0, 0]
     s = 1 << (n - 1)
-    bits = (np.arange(s)[:, None] >> np.arange(n - 1)[None, :]) & 1
-    delta = np.concatenate(
-        [np.ones((s, 1)), 1.0 - 2.0 * bits], axis=1
-    )  # delta_1 fixed at +1
-    signs = delta.prod(axis=1)
-    cols = np.einsum("sk,bkj->bsj", delta, M)
-    return cols.prod(axis=2) @ signs / s
+    for start in range(0, s, _SIGN_BLOCK):
+        bits = np.arange(start, min(start + _SIGN_BLOCK, s))[:, None] >> np.arange(n - 1) & 1
+        delta = np.concatenate([np.ones((len(bits), 1)), 1.0 - 2.0 * bits], axis=1)
+        part = np.einsum("sk,bkj->bsj", delta, M).prod(axis=2) @ delta.prod(axis=1)
+        total = part if start == 0 else total + part
+    return total / s
 
 
 # ---------------------------------------------------------------------------

@@ -317,13 +317,38 @@ def _residue(tab, fill, n, q, scale, p):
     return scale % p * trace % p
 
 
+def _contains(lam, xi) -> bool:
+    """Whether xi, a partition of 2|lam|, contains lam; A_xi vanishes if not."""
+    if xi.n != 2 * lam.n:
+        raise ValueError("xi must partition twice |lam|")
+    return len(lam) <= len(xi) and all(a <= b for a, b in zip(lam, xi))
+
+
+def _crt(residue, bound, label):
+    """(v, M, used): v modulo M from residue(p) over the first `used` primes
+    whose product M exceeds bound, skipping a prime where residue(p) is
+    None; ArithmeticError when the primes run out first."""
+    value, modulus, used = 0, 1, 0
+    for p in primes():
+        if modulus > bound:
+            break
+        r = residue(p)
+        if r is None:
+            continue
+        value += modulus * ((r - value) * pow(modulus, -1, p) % p)
+        modulus *= p
+        used += 1
+    if modulus <= bound:
+        raise ArithmeticError(f"{label}: the usable primes multiply to {modulus}, "
+                              f"not above the proven bound {bound}")
+    return value, modulus, used
+
+
 def coefficient(lam, xi) -> int:
     """A_xi(lam) as an exact integer."""
     lam, xi = as_partition(lam), as_partition(xi)
     n = lam.n
-    if xi.n != 2 * n:
-        raise ValueError("xi must partition twice |lam|")
-    if len(lam) > len(xi) or any(a > b for a, b in zip(lam, xi)):
+    if not _contains(lam, xi):
         return 0
     q = fixed_rank(xi, n)
     if q == 0:
@@ -333,25 +358,53 @@ def coefficient(lam, xi) -> int:
     c = (factorial(n) // dim_symmetric(lam)) ** 2
     scale = 4**n * c * c
     bound = scale * q
-    value, modulus, used = 0, 1, 0
-    for p in primes():
-        if modulus > bound:
-            break
-        r = _residue(tab, fill, n, q, scale, p)
-        if r is None:
-            continue
-        value += modulus * ((r - value) * pow(modulus, -1, p) % p)
-        modulus *= p
-        used += 1
-    if modulus <= bound:
-        raise ArithmeticError(
-            f"A_{xi}({lam}): the usable primes multiply to {modulus}, "
-            f"not above the proven bound {bound}"
-        )
+    value, modulus, used = _crt(
+        lambda p: _residue(tab, fill, n, q, scale, p), bound, f"A_{xi}({lam})")
     if log.isEnabledFor(logging.DEBUG):
         log.debug("xi=%s f=%d q=%d primes=%d headroom_bits=%.1f",
                   xi, len(tab), q, used, log2(modulus) - log2(bound))
     return value
+
+
+def pair_coefficient(lam, xi, A, B) -> int:
+    """A_xi(A, B): chi^xi summed against hatchi(pi) hatchi(gamma) over the
+    products eps_A pi eps_B gamma, for 1-based swap sets A, B in 1..n.
+
+    It equals c^2 tr(rho(eps_A) P rho(eps_B) P).  In the orthogonal form
+    the rho(eps) are orthogonal and P an orthogonal projection, so
+    |tr(X P Y P)| <= rank P <= f_xi; the value may be negative, and it is
+    lifted from residues modulo primes multiplying past 2 c^2 f_xi.
+    """
+    lam, xi = as_partition(lam), as_partition(xi)
+    n = lam.n
+    if not set(A) | set(B) <= set(range(1, n + 1)):
+        raise ValueError("swap sets must lie inside 1..n")
+    if not _contains(lam, xi):
+        return 0
+    tab = tableaux(xi.parts)
+    outside = np.ones(len(tab), dtype=bool)
+    outside[tab.filling(lam)] = False
+    g_word = reduced_word(interleave(n))
+    scale = (factorial(n) // dim_symmetric(lam)) ** 4
+
+    def residue(p):
+        action = tab.action(p)
+
+        def swap(points, x):
+            # rho(eps) = rho(g) rho(prod_(i in points) s_(2i-2)) rho(g)^-1
+            word = g_word + [2 * i - 2 for i in points] + g_word[::-1]
+            return _apply(word, x, action, tab.partner, p)
+
+        proj = np.eye(len(tab), dtype=np.int64)
+        for _ in range(2):  # P = P1 W P1 W
+            proj = swap(range(1, n + 1), proj)
+            proj[outside] = 0
+        trace = int((swap(A, proj) * swap(B, proj).T % p).sum()) % p
+        return scale % p * trace % p
+
+    value, modulus, _ = _crt(residue, 2 * scale * len(tab),
+                             f"A_{xi}({lam}; {sorted(A)}, {sorted(B)})")
+    return value - modulus if 2 * value > modulus else value
 
 
 def class_coefficients(lam) -> dict[Partition, int]:

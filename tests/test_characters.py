@@ -19,7 +19,6 @@ from immom.characters import (
     character_of,
     character_table,
     class_size,
-    hat_character,
 )
 from immom.partitions import (
     Partition,
@@ -80,7 +79,7 @@ def test_known_table_of_four():
 
 
 # ---------------------------------------------------------------------------
-# character_of / hat_character
+# character_of
 
 
 def test_character_of_permutation():
@@ -88,26 +87,6 @@ def test_character_of_permutation():
     assert character_of((2, 1), p) == -1
     assert character_of((3,), p) == 1
     assert character_of((1, 1, 1), p) == 1
-
-
-def test_hat_character_is_product():
-    e = Permutation.identity(3)
-    c3 = Permutation.one_line([2, 3, 1])
-    t = Permutation.one_line([2, 1, 3])
-    assert hat_character((2, 1), e, e) == 4  # dim^2
-    assert hat_character((2, 1), c3, c3) == 1
-    assert hat_character((2, 1), t, e) == 0
-    for lam in partition_list(3):
-        for p in all_permutations(3):
-            for q in all_permutations(3):
-                assert hat_character(lam, p, q) == (
-                    character_of(lam, p) * character_of(lam, q)
-                )
-
-
-def test_hat_character_degree_mismatch():
-    with pytest.raises(ValueError):
-        hat_character((2, 1), Permutation.identity(3), Permutation.identity(2))
 
 
 # ---------------------------------------------------------------------------

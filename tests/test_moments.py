@@ -19,7 +19,7 @@ from math import comb, factorial
 import pytest
 
 from immom import seminormal
-from immom.characters import character_of, character_table
+from immom.characters import character_of
 from immom.moments import (
     LEADING_LIMIT,
     SECOND_MOMENT_LIMIT,
@@ -205,19 +205,6 @@ def test_histogram_symmetries():
                 assert h == t_histogram(lam, full - A, full - B)
 
 
-def test_histogram_shards_partition_the_sum():
-    lam = Partition((2, 1))
-    A, B = frozenset({1, 3}), frozenset({2})
-    whole = t_histogram(lam, A, B)
-    merged = {}
-    for shard in range(3):
-        part = t_histogram(lam, A, B, shards=3, shard=shard)
-        for k, v in part.items():
-            merged[k] = merged.get(k, 0) + v
-    merged = {k: v for k, v in merged.items() if v}
-    assert merged == {k: v for k, v in whole.items() if v}
-
-
 def test_histogram_keys_are_cycle_types_of_doubled_degree():
     lam = Partition((3,))
     h = t_histogram(lam, frozenset({1}), frozenset({2, 3}))
@@ -333,30 +320,32 @@ def test_second_moment_row_of_six_is_the_permanent_conjecture():
 
 
 # ---------------------------------------------------------------------------
-# the character-side engine against the enumeration kernel
+# the character-side engine against its per-swap-pair form
 
 
-def _enumerated_class_coefficients(lam):
-    """A_xi from every representative's cycle-type histogram, contracted
-    with the characters of S_2n."""
+def _summed_pair_coefficients(lam):
+    """A_xi as the multiplicity-weighted sum of the per-pair A_xi(A, B)
+    over the swap-pair representatives."""
     n = sum(lam)
-    total = {}
-    for mult, A, B in representatives(n):
-        for ct, v in t_histogram(lam, A, B).items():
-            total[ct] = total.get(ct, 0) + mult * v
-    table = character_table(2 * n)
     coeffs = {}
     for xi in partition_list(2 * n):
-        a = sum(v * table.value(xi, ct) for ct, v in total.items())
+        a = sum(mult * seminormal.pair_coefficient(lam, xi, A, B)
+                for mult, A, B in representatives(n))
         if a:
             coeffs[xi] = a
     return coeffs
 
 
 def test_class_coefficients_match_the_enumeration_kernel():
+    # the reference enumerates the representatives of the 4^n swap pairs
     for n in range(1, 5):
         for lam in partition_list(n):
-            assert _class_coefficients(lam) == _enumerated_class_coefficients(lam), lam
+            assert _class_coefficients(lam) == _summed_pair_coefficients(lam), lam
+
+
+def test_pair_coefficient_can_be_negative():
+    # the signed lift: this residue lies in the upper half of the modulus
+    assert seminormal.pair_coefficient((2,), (2, 2), frozenset(), frozenset({1})) == -8
 
 
 def test_engine_skips_a_prime_whose_basis_is_rank_deficient(monkeypatch):
@@ -388,10 +377,14 @@ def test_engine_refuses_when_the_primes_run_out(monkeypatch):
     lam = (1, 1, 1, 1)
     p = seminormal.primes()[0]
     c = (factorial(4) // dim_symmetric(lam)) ** 2
+    xi = (4, 2, 1, 1)
     assert 4**4 * c * c > p  # one prime is below the bound of every xi with q > 0
+    assert 2 * c * c * len(seminormal.tableaux(xi)) > p  # and the per-pair bound
     monkeypatch.setattr(seminormal, "primes", lambda: (p,))
     with pytest.raises(ArithmeticError, match="bound"):
         _class_coefficients(lam)
+    with pytest.raises(ArithmeticError, match="bound"):
+        seminormal.pair_coefficient(lam, xi, frozenset(), frozenset({1}))
 
 
 def test_engine_logs_positive_headroom_per_xi(caplog):

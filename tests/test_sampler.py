@@ -7,6 +7,7 @@ contract checked bit for bit.
 """
 
 import multiprocessing
+import tracemalloc
 from fractions import Fraction
 from math import sqrt
 
@@ -138,11 +139,24 @@ def test_determinant_path_matches_pivoted_determinant(rng):
 
 
 def test_permanent_matches_naive_sum(rng):
-    for n in (2, 3, 4, 5):
+    # n = 8 sums its 2^7 sign vectors in two blocks
+    for n in (2, 3, 4, 5, 8):
         M = np.stack([random_complex_matrix(rng, n) for _ in range(3)])
         got = permanent_batch(M)
         want = np.array([brute_permanent(m.tolist()) for m in M])
         assert np.abs(got - want).max() <= 1e-10 * max(1, np.abs(want).max())
+
+
+def test_permanent_memory_is_bounded_by_the_sign_block(rng):
+    # the unblocked sign sum formed (256, 2^9, 10) complex values, 20 MiB
+    M = rng.standard_normal((256, 10, 10)) + 1j * rng.standard_normal((256, 10, 10))
+    tracemalloc.start()
+    try:
+        permanent_batch(M)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20
 
 
 def test_general_immanant_matches_naive_sum(rng):

@@ -13,11 +13,12 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from immom.partitions import Partition
+from immom.partitions import Partition, partition_index
 from immom.symgroup import (
     Permutation,
     all_permutations,
     all_subsets,
+    cycle_keyer,
     embed_pair,
     epsilon,
     interval,
@@ -118,6 +119,17 @@ def test_permutation_table_matches_itertools_order():
         assert got.dtype == np.uint8
         assert got.shape == want.shape
         assert np.array_equal(got, want)
+
+
+def test_cycle_keyer_matches_scalar_cycle_type():
+    for m in (1, 2, 3, 4, 6, 8):
+        classify = cycle_keyer(m)
+        perms = list(all_permutations(m))
+        imgs = np.array([p.img for p in perms], dtype=np.uint8)
+        keys = classify(imgs)
+        index = partition_index(m)
+        expect = np.array([index[p.cycle_type().parts] for p in perms])
+        np.testing.assert_array_equal(keys, expect)
 
 
 # ---------------------------------------------------------------------------
