@@ -527,7 +527,7 @@ def _add_limit_flag(p):
     p.add_argument(
         "--limit-override", type=int, default=None, metavar="N",
         help="raise the built-in size cap (fourth moments stop at n = 5, "
-             "leading coefficients at n = 9, unless overridden)",
+             "leading coefficients at n = 10, unless overridden)",
     )
 
 

@@ -7,9 +7,8 @@ published fourth-moment rows carry documented misprints, so that criterion
 fails honestly, with the full diagnosis in the failure message and the
 machine-checkable misprint relations asserted green in the companion test.
 
-Long-running optional checks (the n = 8, 9 leading-coefficient rows, the
-n = 10 Monte Carlo permanent run) carry the `slow` marker and are excluded
-from the default run.
+The long-running optional check (the n = 10 Monte Carlo permanent run)
+carries the `slow` marker and is excluded from the default run.
 """
 
 import json
@@ -245,7 +244,6 @@ def test_criterion_03_table2_leading_coefficients():
         assert not slow, f"per-shape budget 600 s exceeded: {slow}"
 
 
-@pytest.mark.slow
 def test_criterion_03_long_table2_n8_n9():
     with criterion("3 (long)", "leading coefficients n = 8, 9") as info:
         bad, slow, worst9 = [], [], 0.0
@@ -274,7 +272,6 @@ def test_criterion_03_long_table2_n8_n9():
         )
 
 
-@pytest.mark.slow
 def test_criterion_03_long_extra_ten_symbol_value():
     # a ten-symbol value quoted in the reference source
     assert leading_coefficient((4, 3, 2, 1), limit=10) == 664930149811200

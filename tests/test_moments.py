@@ -18,7 +18,7 @@ from math import comb, factorial
 
 import pytest
 
-from immom import seminormal
+from immom import moments, seminormal
 from immom.characters import character_of
 from immom.moments import (
     LEADING_LIMIT,
@@ -446,10 +446,58 @@ def test_j_pair_matches_direct_membership_route():
 
 
 def test_j_pair_full_swap_is_the_square_of_the_group_order():
-    # l = n, k = 0 leaves F[x] = chi(x), whose Gram entry is sum chi^2 = n!
-    shapes = [lam for n in range(1, 7) for lam in partition_list(n)]
+    # l = n or l = 0 (k = 0) leaves F[x] = chi(x), whose Gram entry is
+    # sum chi^2 = n!; leading_coefficient takes the l = 0 term from this
+    shapes = [lam for n in range(1, 8) for lam in partition_list(n)]
     for lam in shapes + [Partition((1,) * 8)]:
-        assert j_pair(lam, lam.n, 0) == factorial(lam.n) ** 2, lam
+        for l in (lam.n, 0):
+            assert j_pair(lam, l, 0) == factorial(lam.n) ** 2, (lam, l)
+
+
+def _cold_j_pair(lam, l, k):
+    moments._CLASSES.clear()
+    return j_pair(lam, l, k)
+
+
+def test_j_pair_class_cache_matches_cold_calls_across_degrees():
+    calls = [((3, 2), 2, 1), ((2, 2, 1), 2, 1), ((4, 2), 3, 2), ((3, 2, 1), 2, 0),
+             ((3, 2), 2, 1), ((1,) * 5, 1, 1), ((2, 2, 1), 2, 1)]
+    cold = [_cold_j_pair(*c) for c in calls]
+    moments._CLASSES.clear()
+    assert [j_pair(*c) for c in calls] == cold
+
+
+def test_j_pair_class_cache_holds_one_read_only_degree():
+    j_pair((4, 2), 2, 1)
+    j_pair((3, 2), 1, 0)
+    j_pair((2, 2, 1), 3, 2)
+    assert moments._CLASSES
+    assert {n for n, _, _ in moments._CLASSES} == {5}
+    for cls in moments._CLASSES.values():
+        assert not cls.flags.writeable
+        with pytest.raises(ValueError):
+            cls[0, 0] = 0
+
+
+def test_j_pair_python_integer_gram_matches_int64(monkeypatch):
+    shapes = [lam for n in range(1, 6) for lam in partition_list(n)]
+    args = [(lam, l, k) for lam in shapes for l in range(lam.n + 1)
+            for k in range(min(l, lam.n - l) + 1)]
+    fast = [j_pair(*a) for a in args]
+    monkeypatch.setattr(moments, "_INT64_LIMIT", 1)  # every bound is >= 1
+    assert [j_pair(*a) for a in args] == fast
+
+
+def test_j_pair_logs_positive_headroom(caplog):
+    with caplog.at_level(logging.DEBUG, logger="immom.moments"):
+        leading_coefficient((3, 2, 1))
+    lines = [r.getMessage() for r in caplog.records if r.name == "immom.moments"]
+    assert len(lines) == sum(l + 1 for l in range(1, 4))  # one per l >= 1 call
+    for line in lines:
+        fields = dict(re.findall(r"(\w+)=(\S+)", line))
+        assert {"lam", "n", "l", "k", "contraction", "headroom_bits"} <= set(fields)
+        assert int(fields["n"]) == 6 and int(fields["l"]) >= 1
+        assert float(fields["headroom_bits"]) > 0
 
 
 def test_leading_coefficient_matches_direct_route():
