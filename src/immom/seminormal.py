@@ -23,8 +23,8 @@ makes rho orthogonal.
 All of the work is adjacent transpositions s_k acting on f_xi x q blocks
 (two terms per row) and q x q products.  The interleaving g, with
 g(2i) = i and g(2i+1) = n+i, conjugates s_(2i) to (i, n+i).  So
-B = rho(g) Q' R spans the range of Q, where Q' = prod_i (1 + rho(s_(2i)))/2
-and R is a random f_xi x q draw.  Likewise W = rho(g) rho(E) rho(g)^-1 with
+B = rho(g) C spans the range of Q when C spans that of Q' = prod_i
+(1 + rho(s_(2i)))/2.  Likewise W = rho(g) rho(E) rho(g)^-1 with
 E = prod_i s_(2i).  This needs n(n+1) letters instead of the n(2n-1) of
 the palindromes (i, n+i) = s_i ... s_(n+i-1) ... s_i plus the n^2 of a
 reduced word of eps_[n].
@@ -40,11 +40,22 @@ and there is no partner tableau when |r| = 1 (the action is then +-1).
 Every denominator is a nonzero r or r^2 - 1 with |r| < 2n, so no entry
 vanishes modulo such a prime.  Exactness rests on a bound proven before any
 arithmetic: in the orthogonal form Q and P are orthogonal projections, so
-tr(QPQP) = ||QPQ||_F^2 <= rank Q = q, and 0 <= A_xi <= 4^n c^2 q.  Primes
-are taken until their product exceeds that bound.  A prime is skipped when
-G is singular modulo it, which also covers a basis B of rank below q
-(rank G <= rank B); when the primes run out the engine raises
-ArithmeticError rather than return an unchecked integer.
+tr(QPQP) = ||QPQ||_F^2 <= rank Q = q, and 0 <= A_xi <= 4^n c^2 q.  The
+leading primes are taken until their product exceeds that bound; when they
+run out the engine raises ArithmeticError rather than return an unchecked
+integer.
+
+C is spanned by corner tableaux.  The s_(2i) commute, and rho(s_(2i))
+mixes v_T only with v_(s_(2i) T), with coefficients set by the axial
+distance r_i of the pair 2i, 2i+1, which the other s_(2j) leave alone.  So
+the tableaux split into cubes on which Q' acts pair by pair: as 0 when
+r_i = -1 (one column), 1 when r_i = 1 (one row), and a rank-one projection
+otherwise.  Each cube with no r_i = -1 holds one corner, the tableau with
+every r_i > 0, and C = prod_i (1 + rho(s_(2i))) applied to the corners is a
+basis of the range of Q'; so q is the number of corners (checked against
+fixed_rank).  Cubes have disjoint supports, so G = C^T D C is diagonal, with
+g_T = d_T times 4 per r_i = 1 and 2 (r_i + 1)/r_i per other pair: a unit
+modulo every prime, and tr((G^-1 H)^2) = sum_ij H_ij H_ji / (g_i g_j).
 
 The tables of each xi (row words, contents, partners and axial distances
 per adjacent transposition) are built with numpy and cached; nothing that
@@ -234,30 +245,6 @@ def _gram(x, y, p):
     return out
 
 
-def _solve(g, h, p):
-    """G^-1 H modulo p by Gauss-Jordan elimination, or None when G is
-    singular modulo p."""
-    q = len(g)
-    m = np.concatenate([g, h], axis=1) % p
-    for col in range(q):
-        nonzero = np.flatnonzero(m[col:, col])
-        if not len(nonzero):
-            return None
-        pivot = col + nonzero[0]
-        if pivot != col:
-            m[[col, pivot]] = m[[pivot, col]]
-        m[col] = m[col] * pow(int(m[col, col]), -1, p) % p
-        factors = m[:, col].copy()
-        factors[col] = 0
-        m = (m - np.outer(factors, m[col]) % p) % p
-    return m[:, q:]
-
-
-def _draw(shape, p):
-    """Fixed-seed random residues modulo p: the columns Q is applied to."""
-    return np.random.default_rng(p).integers(0, p, size=shape, dtype=np.int64)
-
-
 def reduced_word(img):
     """A reduced word of the permutation with 0-based images img: the list
     w with img = s_(w[0]) o s_(w[1]) o ... (o composes right to left)."""
@@ -288,31 +275,39 @@ def fixed_rank(xi, n) -> int:
     return total >> n
 
 
-def _residue(tab, fill, n, q, scale, p):
-    """A_xi(lam) modulo p, or None when G is singular modulo p."""
+def corners(tab, n) -> np.ndarray:
+    """Indices of the corner tableaux of xi = tab.shape: axial distance
+    c_T(2i+1) - c_T(2i) > 0 at every pair i < n."""
+    return np.flatnonzero((tab.axial[0:2 * n:2] > 0).all(axis=0))
+
+
+def fixed_basis(tab, n, action, p):
+    """C = prod_i (1 + rho(s_(2i))) applied to the unit vectors of the
+    corners, modulo p: a basis of the range of Q'."""
+    basis = (np.arange(len(tab))[:, None] == corners(tab, n)).astype(np.int64)
+    for k in range(0, 2 * n, 2):
+        basis = (basis + _apply([k], basis, action, tab.partner, p)) % p
+    return basis
+
+
+def _residue(tab, fill, n, scale, p):
+    """A_xi(lam) modulo p."""
     action = tab.action(p)
     d = tab.form(p)
-    pairs = [2 * i for i in range(n)]
     g_word = reduced_word(interleave(n))
-    # C = Q' R spans the range of Q' = prod_i (1 + rho(s_(2i)))/2, and
-    # B = rho(g) C the range of Q = rho(g) Q' rho(g)^-1 (the scalar 2^-n
-    # drops out of tr((G^-1 H)^2)); D-orthogonality of rho(g) gives
-    # G = C^T D C
-    low = _draw((len(tab), q), p)
-    for k in pairs:
-        low = (low + _apply([k], low, action, tab.partner, p)) % p
+    # B = rho(g) C spans the range of Q = rho(g) Q' rho(g)^-1, and G = C^T D C
+    # (rho(g) preserves D; the scalar 2^-n drops out of tr((G^-1 H)^2))
+    low = fixed_basis(tab, n, action, p)
+    g = (low * (d[:, None] * low % p) % p).sum(axis=0) % p
     basis = _apply(g_word, low, action, tab.partner, p)
     selected = np.zeros_like(basis)
     selected[fill] = basis[fill]
     # W = rho(g) rho(E) rho(g)^-1 with E = prod_i s_(2i), so with
     # Y = rho(g)^-1 P1 B, H = B^T D P1 W P1 B = Y^T D rho(E) Y
     back = _apply(g_word[::-1], selected, action, tab.partner, p)
-    image = _apply(pairs, back, action, tab.partner, p)
-    g = _gram(low, d[:, None] * low % p, p)
+    image = _apply(range(0, 2 * n, 2), back, action, tab.partner, p)
     h = _gram(back, d[:, None] * image % p, p)
-    x = _solve(g, h, p)
-    if x is None:
-        return None
+    x = h * np.array([pow(int(v), -1, p) for v in g])[:, None] % p
     trace = int((x * x.T % p).sum()) % p
     return scale % p * trace % p
 
@@ -325,21 +320,18 @@ def _contains(lam, xi) -> bool:
 
 
 def _crt(residue, bound, label):
-    """(v, M, used): v modulo M from residue(p) over the first `used` primes
-    whose product M exceeds bound, skipping a prime where residue(p) is
-    None; ArithmeticError when the primes run out first."""
+    """(v, M, used): v modulo M from residue(p) over the first `used` primes,
+    whose product M exceeds bound; ArithmeticError if they run out first."""
     value, modulus, used = 0, 1, 0
     for p in primes():
         if modulus > bound:
             break
         r = residue(p)
-        if r is None:
-            continue
         value += modulus * ((r - value) * pow(modulus, -1, p) % p)
         modulus *= p
         used += 1
     if modulus <= bound:
-        raise ArithmeticError(f"{label}: the usable primes multiply to {modulus}, "
+        raise ArithmeticError(f"{label}: the primes multiply to {modulus}, "
                               f"not above the proven bound {bound}")
     return value, modulus, used
 
@@ -354,12 +346,14 @@ def coefficient(lam, xi) -> int:
     if q == 0:
         return 0
     tab = tableaux(xi.parts)
+    if len(corners(tab, n)) != q:
+        raise ArithmeticError(f"{xi}: the corner tableaux miss the fixed rank {q}")
     fill = tab.filling(lam)
     c = (factorial(n) // dim_symmetric(lam)) ** 2
     scale = 4**n * c * c
     bound = scale * q
     value, modulus, used = _crt(
-        lambda p: _residue(tab, fill, n, q, scale, p), bound, f"A_{xi}({lam})")
+        lambda p: _residue(tab, fill, n, scale, p), bound, f"A_{xi}({lam})")
     if log.isEnabledFor(logging.DEBUG):
         log.debug("xi=%s f=%d q=%d primes=%d headroom_bits=%.1f",
                   xi, len(tab), q, used, log2(modulus) - log2(bound))
@@ -377,29 +371,32 @@ def pair_coefficient(lam, xi, A, B) -> int:
     """
     lam, xi = as_partition(lam), as_partition(xi)
     n = lam.n
-    if not set(A) | set(B) <= set(range(1, n + 1)):
+    every = set(range(1, n + 1))
+    if not set(A) | set(B) <= every:
         raise ValueError("swap sets must lie inside 1..n")
     if not _contains(lam, xi):
         return 0
     tab = tableaux(xi.parts)
-    outside = np.ones(len(tab), dtype=bool)
-    outside[tab.filling(lam)] = False
+    fill = tab.filling(lam)
+    # with S the selector of P1's range and A' the complement of A,
+    # W rho(eps_A) = rho(eps_A') turns the trace into tr(Y_A' M Y_B' M),
+    # where M = S^T W S and Y_A = S^T rho(eps_A) S
+    select = (np.arange(len(tab))[:, None] == fill).astype(np.int64)
     g_word = reduced_word(interleave(n))
     scale = (factorial(n) // dim_symmetric(lam)) ** 4
 
     def residue(p):
         action = tab.action(p)
 
-        def swap(points, x):
+        def block(points):
             # rho(eps) = rho(g) rho(prod_(i in points) s_(2i-2)) rho(g)^-1
             word = g_word + [2 * i - 2 for i in points] + g_word[::-1]
-            return _apply(word, x, action, tab.partner, p)
+            return _apply(word, select, action, tab.partner, p)[fill]
 
-        proj = np.eye(len(tab), dtype=np.int64)
-        for _ in range(2):  # P = P1 W P1 W
-            proj = swap(range(1, n + 1), proj)
-            proj[outside] = 0
-        trace = int((swap(A, proj) * swap(B, proj).T % p).sum()) % p
+        m = block(every)
+        left = _gram(block(every - set(A)).T, m, p)
+        right = _gram(block(every - set(B)).T, m, p)
+        trace = int((left * right.T % p).sum()) % p
         return scale % p * trace % p
 
     value, modulus, _ = _crt(residue, 2 * scale * len(tab),

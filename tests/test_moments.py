@@ -314,7 +314,6 @@ def test_second_moment_column_of_six_is_the_determinant_moment():
     assert second_moment((1,) * 6, limit=6) == det_moment(6, 2)
 
 
-@pytest.mark.slow
 def test_second_moment_row_of_six_is_the_permanent_conjecture():
     assert second_moment((6,), limit=6) == perm_fourth_conjecture(6)
 
@@ -348,31 +347,6 @@ def test_pair_coefficient_can_be_negative():
     assert seminormal.pair_coefficient((2,), (2, 2), frozenset(), frozenset({1})) == -8
 
 
-def test_engine_skips_a_prime_whose_basis_is_rank_deficient(monkeypatch):
-    lam = (2, 2)
-    expected = _class_coefficients(lam)
-    first = seminormal.primes()[0]
-    draw, residue = seminormal._draw, seminormal._residue
-    skipped = []
-
-    def deficient(shape, p):
-        out = draw(shape, p)
-        if p == first:
-            out[:, -1] = 0
-        return out
-
-    def watched(*args):
-        r = residue(*args)
-        if r is None:
-            skipped.append(args[-1])
-        return r
-
-    monkeypatch.setattr(seminormal, "_draw", deficient)
-    monkeypatch.setattr(seminormal, "_residue", watched)
-    assert _class_coefficients(lam) == expected
-    assert len(skipped) >= len(expected) and set(skipped) == {first}
-
-
 def test_engine_refuses_when_the_primes_run_out(monkeypatch):
     lam = (1, 1, 1, 1)
     p = seminormal.primes()[0]
@@ -387,16 +361,38 @@ def test_engine_refuses_when_the_primes_run_out(monkeypatch):
         seminormal.pair_coefficient(lam, xi, frozenset(), frozenset({1}))
 
 
+def test_engine_refuses_when_the_corners_miss_the_fixed_rank(monkeypatch):
+    rank = seminormal.fixed_rank
+    monkeypatch.setattr(seminormal, "fixed_rank", lambda xi, n: rank(xi, n) + 1)
+    with pytest.raises(ArithmeticError, match="corner"):
+        seminormal.coefficient((2,), (3, 1))
+
+
 def test_engine_logs_positive_headroom_per_xi(caplog):
-    with caplog.at_level(logging.DEBUG, logger="immom.seminormal"):
-        coeffs = _class_coefficients((2, 1))
-    lines = [r.getMessage() for r in caplog.records if r.name == "immom.seminormal"]
-    assert len(lines) >= len(coeffs)
-    for line in lines:
-        fields = dict(re.findall(r"(\w+)=(\S+)", line))
-        assert {"xi", "f", "q", "primes", "headroom_bits"} <= set(fields)
-        assert int(fields["primes"]) >= 1
-        assert float(fields["headroom_bits"]) > 0
+    # (2, 2) needs one prime for some xi and two for others
+    counts = set()
+    for lam in ((2, 1), (2, 2)):
+        caplog.clear()
+        with caplog.at_level(logging.DEBUG, logger="immom.seminormal"):
+            coeffs = _class_coefficients(lam)
+        n = sum(lam)
+        c = (factorial(n) // dim_symmetric(lam)) ** 2
+        lines = [r.getMessage() for r in caplog.records if r.name == "immom.seminormal"]
+        assert len(lines) >= len(coeffs)
+        for line in lines:
+            fields = dict(re.findall(r"(\w+)=(\S+)", line))
+            assert {"xi", "f", "q", "primes", "headroom_bits"} <= set(fields)
+            assert float(fields["headroom_bits"]) > 0
+            # the least number of leading primes whose product exceeds the
+            # bound, so no prime was skipped
+            bound = 4**n * c * c * int(fields["q"])
+            least, modulus = 0, 1
+            while modulus <= bound:
+                modulus *= seminormal.primes()[least]
+                least += 1
+            assert int(fields["primes"]) == least, line
+            counts.add(least)
+    assert counts == {1, 2}
 
 
 # ---------------------------------------------------------------------------

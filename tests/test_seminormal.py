@@ -3,7 +3,8 @@
 The engine's coefficients are checked against the enumeration kernel in
 test_moments; these tests check the pieces they rest on: the tableau
 tables, that the two-term row updates define a representation with the
-stated character and invariant form, and the adjacent-transposition words.
+stated character and invariant form, the corner basis of the fixed space
+of Q, and the adjacent-transposition words.
 """
 
 from itertools import combinations
@@ -12,7 +13,17 @@ import numpy as np
 
 from immom.characters import character
 from immom.partitions import dim_symmetric, partition_list
-from immom.seminormal import _apply, interleave, primes, reduced_word, tableaux
+from immom.seminormal import (
+    _apply,
+    _gram,
+    corners,
+    fixed_basis,
+    fixed_rank,
+    interleave,
+    primes,
+    reduced_word,
+    tableaux,
+)
 from immom.symgroup import Permutation
 
 P = primes()[0]
@@ -65,6 +76,23 @@ def test_traces_are_the_characters():
                 assert int(np.trace(cycle)) % P == character(xi, mu) % P, (xi, mu)
                 if length < m:
                     cycle = cycle @ rho[length - 1] % P
+
+
+def test_corner_tableaux_span_the_fixed_space_with_a_diagonal_gram():
+    for n in range(1, 7):
+        for xi in partition_list(2 * n):
+            tab = tableaux(xi.parts)
+            assert len(corners(tab, n)) == fixed_rank(xi, n), xi
+            action = tab.action(P)
+            basis = fixed_basis(tab, n, action, P)
+            for k in range(0, 2 * n, 2):
+                fixed = _apply([k], basis, action, tab.partner, P)
+                assert np.array_equal(fixed, basis), (xi, k)
+            d = tab.form(P)
+            gram = _gram(basis, d[:, None] * basis % P, P)
+            g = np.diag(gram)
+            assert np.array_equal(gram, np.diag(g)), xi
+            assert np.all(g), xi
 
 
 def test_reduced_words_spell_their_permutations():
