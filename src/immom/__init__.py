@@ -40,14 +40,12 @@ from .characters import CharacterTable, character, character_table, class_size
 from .ratfun import RationalFunction
 from .weingarten import monomial_integral, weingarten
 from .moments import (
-    SecondMomentReport,
     det_moment,
     leading_coefficient,
     mean,
     mean_dominance_check,
     perm_fourth_conjecture,
     second_moment,
-    second_moment_report,
 )
 from .sampler import (
     MomentEstimate,
@@ -69,7 +67,6 @@ __all__ = [
     "Partition",
     "Permutation",
     "RationalFunction",
-    "SecondMomentReport",
     "all_permutations",
     "as_partition",
     "character",
@@ -96,7 +93,6 @@ __all__ = [
     "perm_fourth_conjecture",
     "permanent_batch",
     "second_moment",
-    "second_moment_report",
     "unitary_numerator",
     "weingarten",
     "__version__",

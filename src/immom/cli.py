@@ -34,7 +34,6 @@ from .moments import (
     perm_fourth_conjecture,
     report,
     second_moment,
-    second_moment_report,
 )
 from .partitions import Dominance, Partition, dominates, parse_partition, partition_list
 from .ratfun import RationalFunction
@@ -105,16 +104,29 @@ def load_golden():
 # output plumbing
 
 
+def _csv_cell(value):
+    if isinstance(value, bool):
+        return int(value)
+    if isinstance(value, list):
+        return ",".join(map(str, value))
+    return value
+
+
 def _emit(args, lines, payload=None, rows=None, fields=None):
+    """Write text lines, the JSON payload, or CSV rows per ``--format``.
+
+    CSV rows are the JSON rows restricted to ``fields``, with booleans as
+    0/1 and lists comma-joined.
+    """
     if args.format == "json":
         body = json.dumps(payload, indent=2) + "\n"
     elif args.format == "csv":
         if rows is None:
             raise CLIError("csv format is not available for this subcommand")
         buf = io.StringIO()
-        writer = csv.DictWriter(buf, fieldnames=fields or list(rows[0]))
+        writer = csv.DictWriter(buf, fieldnames=fields, extrasaction="ignore")
         writer.writeheader()
-        writer.writerows(rows)
+        writer.writerows({k: _csv_cell(v) for k, v in row.items()} for row in rows)
         body = buf.getvalue()
     else:
         body = "".join(line + "\n" for line in lines)
@@ -196,14 +208,12 @@ def _cmd_mean(args):
 
 def _cmd_second_moment(args):
     lam = parse_partition(args.partition)
-    rep = second_moment_report(lam, workers=args.workers, limit=args.limit_override)
-    payload = report(
-        "second_moment", lam=lam, value=rep.value, d=args.d,
-        wall_time_s=rep.wall_time_s,
-    )
-    lines = [f"E|Imm^({lam}) M|^4 = {rep.value.to_display()}"]
-    lines += _evaluated_lines(rep.value, args.d)
-    lines.append(f"computed in {rep.wall_time_s:.3f} s with {rep.workers} worker(s)")
+    t0 = time.perf_counter()
+    f = second_moment(lam, limit=args.limit_override)
+    wall_time_s = time.perf_counter() - t0
+    payload = report("second_moment", lam=lam, value=f, d=args.d, wall_time_s=wall_time_s)
+    lines = [f"E|Imm^({lam}) M|^4 = {f.to_display()}"] + _evaluated_lines(f, args.d)
+    lines.append(f"computed in {wall_time_s:.3f} s")
     _apply_warnings(payload, lines, _regime_warnings(lam.n, args.d, 2))
     _emit(args, lines, payload)
     return 0
@@ -297,13 +307,7 @@ def _cmd_dominance(args):
                 f"VIOLATION at d = {v['d']}: "
                 f"({','.join(map(str, v['lambda']))}) above ({','.join(map(str, v['mu']))})"
             )
-    rows = [
-        {"d": v["d"],
-         "lambda": ",".join(map(str, v["lambda"])),
-         "mu": ",".join(map(str, v["mu"]))}
-        for v in violations
-    ]
-    _emit(args, lines, payload, rows=rows, fields=["d", "lambda", "mu"])
+    _emit(args, lines, payload, rows=violations, fields=["d", "lambda", "mu"])
     return 0 if ok else 1
 
 
@@ -361,10 +365,10 @@ def _cmd_verify(args):
     if args.power == 2:
         exact = mean(lam)
     else:
-        exact = second_moment(lam, workers=args.workers, limit=args.limit_override)
+        exact = second_moment(lam, limit=args.limit_override)
     ests = moment_scan(lam, d_values, args.power, samples, args.seed,
                        workers=args.workers)
-    jrows, rows, n_ok = [], [], 0
+    rows, n_ok = [], 0
     for e in ests:
         q = exact.evaluate(e.d)
         target = float(q)
@@ -376,15 +380,10 @@ def _cmd_verify(args):
             args.threshold * e.stderr, 1e-12 * max(1.0, abs(target))
         )
         n_ok += point_ok
-        jrows.append(
+        rows.append(
             {"d": e.d, "exact": f"{q.numerator}/{q.denominator}",
              "exact_float": target, "estimate": e.real, "stderr": e.stderr,
              "z": z, "ok": point_ok}
-        )
-        rows.append(
-            {"d": e.d, "exact": f"{q.numerator}/{q.denominator}",
-             "estimate": repr(e.real), "stderr": repr(e.stderr),
-             "z": "" if z is None else repr(z), "ok": int(point_ok)}
         )
     ok_fraction = n_ok / len(ests)
     ok = ok_fraction >= 0.95
@@ -393,13 +392,13 @@ def _cmd_verify(args):
         "lambda": list(lam.parts), "n": lam.n,
         "power": args.power, "samples": samples, "seed": args.seed,
         "workers": args.workers, "threshold": args.threshold,
-        "rows": jrows, "ok_fraction": ok_fraction, "ok": ok,
+        "rows": rows, "ok_fraction": ok_fraction, "ok": ok,
     }
     lines = [
         f"verify E|Imm^({lam}) M|^{args.power} against {exact.to_display()}; "
         f"{samples} samples per point, seed {args.seed}"
     ]
-    for r in jrows:
+    for r in rows:
         z_text = "   n/a" if r["z"] is None else f"{r['z']:+6.2f}"
         flag = "ok" if r["ok"] else "FAIL"
         lines.append(
@@ -424,19 +423,19 @@ def _cmd_table1(args):
     if not 2 <= args.max_n <= 5:
         raise CLIError("table1 covers 2 <= n <= 5")
     table1, _ = load_golden()
-    jrows, rows, lines, all_ok = [], [], [], True
+    rows, lines, all_ok = [], [], True
     for row in table1:
         lam = row.lam
         if lam.n > args.max_n:
             continue
         got_mean = mean(lam)
-        got_fourth = second_moment(lam, workers=args.workers)
+        got_fourth = second_moment(lam)
         expected = row.fourth_best
         mean_ok = got_mean == row.mean
         fourth_ok = got_fourth == expected
         erratum = row.fourth_corrected is not None
         all_ok = all_ok and mean_ok and fourth_ok
-        jrows.append(
+        rows.append(
             {"lambda": list(lam.parts),
              "mean": got_mean.to_machine(),
              "mean_expected": row.mean.to_machine(),
@@ -445,11 +444,6 @@ def _cmd_table1(args):
              "fourth_expected": expected.to_machine(),
              "fourth_ok": fourth_ok,
              "fourth_erratum": erratum}
-        )
-        rows.append(
-            {"lambda": str(lam), "mean_ok": int(mean_ok),
-             "fourth_ok": int(fourth_ok), "fourth_erratum": int(erratum),
-             "mean": got_mean.to_machine(), "fourth": got_fourth.to_machine()}
         )
         note = (
             " (vs corrected value; the stored published row is a documented misprint)"
@@ -468,7 +462,7 @@ def _cmd_table1(args):
     lines.append("all rows match" if all_ok else "MISMATCHES FOUND")
     payload = {
         "schema_version": 1, "kind": "table1", "max_n": args.max_n,
-        "rows": jrows, "ok": all_ok,
+        "rows": rows, "ok": all_ok,
     }
     fields = ["lambda", "mean_ok", "fourth_ok", "fourth_erratum", "mean", "fourth"]
     _emit(args, lines, payload, rows=rows, fields=fields)
@@ -479,27 +473,24 @@ def _cmd_table2(args):
     if not 1 <= args.max_n <= 9:
         raise CLIError("table2 covers 1 <= n <= 9")
     _, table2 = load_golden()
-    jrows, rows, lines, all_ok = [], [], [], True
+    rows, lines, all_ok = [], [], True
     for lam, expected in table2:
         if lam.n > args.max_n:
             continue
         j = leading_coefficient(lam, limit=args.limit_override)
         ok = j == expected
         all_ok = all_ok and ok
-        jrows.append({"lambda": list(lam.parts), "j": j,
+        rows.append({"lambda": list(lam.parts), "j": j,
                       "expected": expected, "ok": ok})
-        rows.append({"lambda": str(lam), "j": j,
-                     "expected": expected, "ok": int(ok)})
         lines.append(
             f"J({lam}) = {j}" + ("" if ok else f"  MISMATCH (expected {expected})")
         )
     lines.append("all values match" if all_ok else "MISMATCHES FOUND")
     payload = {
         "schema_version": 1, "kind": "table2", "max_n": args.max_n,
-        "rows": jrows, "ok": all_ok,
+        "rows": rows, "ok": all_ok,
     }
-    _emit(args, lines, payload, rows=rows,
-          fields=["lambda", "j", "expected", "ok"])
+    _emit(args, lines, payload, rows=rows, fields=["lambda", "j", "expected", "ok"])
     return 0 if all_ok else 1
 
 
@@ -565,7 +556,6 @@ def build_parser():
     p.add_argument("partition")
     p.add_argument("--d", type=int, default=None,
                    help="evaluate at this dimension (default: symbolic)")
-    _add_workers_flag(p)
     _add_limit_flag(p)
     _add_output_flags(p)
     p.set_defaults(func=_cmd_second_moment)
@@ -649,7 +639,6 @@ def build_parser():
     p.add_argument("--max-n", type=int, default=5,
                    help="largest n to include (2..5, default 5; "
                         "n = 5 rows take a few minutes)")
-    _add_workers_flag(p)
     _add_output_flags(p)
     p.set_defaults(func=_cmd_table1)
 

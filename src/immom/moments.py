@@ -24,8 +24,6 @@ is an independent check on the rational pipeline.
 from __future__ import annotations
 
 import logging
-import time
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 from math import comb, factorial, log2
@@ -125,59 +123,27 @@ def _assemble_rational(coeffs):
     return total
 
 
-@dataclass(frozen=True)
-class SecondMomentReport:
-    lam: Partition
-    n: int
-    value: RationalFunction
-    class_coefficients: dict
-    wall_time_s: float
-    workers: int
-
-
-def second_moment_report(lam, workers=1, limit=None) -> SecondMomentReport:
-    """Fourth moment of |Imm_lam| with coefficient and timing metadata.
-
-    Always recomputes (timings are honest); second_moment() is the cached
-    value-only variant.  The default size guard stops at n = 5; pass a
-    larger limit explicitly to go beyond it.  The computation is serial:
-    workers is accepted for API compatibility and ignored, and the report
-    records the one worker used.
-    """
-    lam = as_partition(lam)
-    n = lam.n
-    cap = SECOND_MOMENT_LIMIT if limit is None else limit
-    if n > cap:
-        raise ValueError(
-            f"|lam| = {n} exceeds the fourth-moment guard ({cap}); "
-            f"pass a larger limit to override"
-        )
-    t0 = time.perf_counter()
-    coeffs = _class_coefficients(lam)
-    value = _assemble_rational(coeffs)
-    return SecondMomentReport(
-        lam=lam,
-        n=n,
-        value=value,
-        class_coefficients=coeffs,
-        wall_time_s=time.perf_counter() - t0,
-        workers=1,
-    )
-
-
 @cache
-def _second_moment_cached(parts, limit):
-    return second_moment_report(Partition(parts), limit=limit).value
+def _fourth_moment(parts):
+    return _assemble_rational(_class_coefficients(Partition(parts)))
 
 
 def second_moment(lam, workers=1, limit=None) -> RationalFunction:
     """Fourth moment of |Imm_lam M| as an exact rational function of d.
 
-    workers is accepted for API compatibility and ignored (the engine is
-    serial).
+    The default size guard stops at n = SECOND_MOMENT_LIMIT; pass a larger
+    limit explicitly to go beyond it.  Values are cached per shape, whatever
+    the limit.  workers is accepted for API compatibility and ignored (the
+    engine is serial).
     """
     lam = as_partition(lam)
-    return _second_moment_cached(lam.parts, limit)
+    cap = SECOND_MOMENT_LIMIT if limit is None else limit
+    if lam.n > cap:
+        raise ValueError(
+            f"|lam| = {lam.n} exceeds the fourth-moment guard ({cap}); "
+            f"pass a larger limit to override"
+        )
+    return _fourth_moment(lam.parts)
 
 
 # ---------------------------------------------------------------------------

@@ -276,9 +276,9 @@ class RationalFunction:
         """Exact text with explicit '*'; parses back to an equal function."""
         return _format(self, machine=True)
 
-    def to_display(self, grouped=True):
-        """Human-readable text; conjugate factor pairs may regroup as d^2-c^2."""
-        return _format(self, machine=False, grouped=grouped)
+    def to_display(self):
+        """Human-readable text; conjugate factor pairs regroup as d^2-c^2."""
+        return _format(self, machine=False)
 
     @classmethod
     def parse(cls, text):
@@ -312,9 +312,6 @@ def _canonicalize(pref, poly, scalar, factors):
 # formatting
 
 
-_SUP = {"0": "0", "1": "1"}
-
-
 def _format_poly(poly, machine):
     if len(poly) == 1:
         return str(poly[0])
@@ -337,26 +334,25 @@ def _format_poly(poly, machine):
     return "".join(parts)
 
 
-def _format_factor(base, mult, machine):
+def _format_factor(base, mult):
     if mult == 1:
         return base
     return f"{base}^{mult}"
 
 
-def _den_pieces(den, grouped):
+def _den_pieces(den):
     pieces = []
     factors = dict(den.factors)
     if 0 in factors:
         pieces.append(("d", factors.pop(0)))
-    if grouped:
-        for c in sorted(k for k in factors if k > 0):
-            m = factors.get(c, 0)
-            mneg = factors.get(-c, 0)
-            if m and mneg:
-                k = min(m, mneg)
-                pieces.append((f"(d^2 - {c * c})", k))
-                factors[c] -= k
-                factors[-c] -= k
+    for c in sorted(k for k in factors if k > 0):
+        m = factors.get(c, 0)
+        mneg = factors.get(-c, 0)
+        if m and mneg:
+            k = min(m, mneg)
+            pieces.append((f"(d^2 - {c * c})", k))
+            factors[c] -= k
+            factors[-c] -= k
     for c in sorted(factors):
         if factors[c] == 0:
             continue
@@ -365,7 +361,7 @@ def _den_pieces(den, grouped):
     return pieces
 
 
-def _format(f, machine, grouped=False):
+def _format(f, machine):
     if f.is_zero():
         return "0"
     star = "*" if machine else " "
@@ -390,10 +386,10 @@ def _format(f, machine, grouped=False):
     if machine:
         for c in sorted(den.factors):
             base = "d" if c == 0 else f"(d {'+' if c > 0 else '-'} {abs(c)})"
-            den_parts.append(_format_factor(base, den.factors[c], machine))
+            den_parts.append(_format_factor(base, den.factors[c]))
     else:
-        for base, mult in _den_pieces(den, grouped):
-            den_parts.append(_format_factor(base, mult, machine))
+        for base, mult in _den_pieces(den):
+            den_parts.append(_format_factor(base, mult))
     den_text = star.join(den_parts)
     if len(den_parts) > 1:
         den_text = f"({den_text})"

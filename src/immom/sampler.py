@@ -20,7 +20,7 @@ and the +-1 sign-sum formula for the permanent).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache
+from functools import cache, partial
 from math import sqrt
 
 import numpy as np
@@ -150,21 +150,25 @@ def _merge(stats):
     return n_tot, mean, m2
 
 
+def _immanant_values(parts, d, power, rng, count):
+    n = sum(parts)
+    u = haar_batch(d, count, rng, n)
+    vals = np.abs(immanant_batch(Partition(parts), u[:, :n])) ** power
+    return vals.astype(np.complex128)
+
+
+def _monomial_values(rows, cols, crows, ccols, d, rng, count):
+    u = haar_batch(d, count, rng, 1 + max(cols + ccols, default=-1))
+    left = np.prod(u[:, rows, cols], axis=1)
+    right = np.prod(u[:, crows, ccols], axis=1)
+    return left * np.conj(right)
+
+
 def _chunk_stats(task, chunk, count):
-    kind = task[0]
-    if kind == "immanant":
-        _, parts, n, d, power, seed, row = task
-        rng = _rng(seed, row, chunk)
-        u = haar_batch(d, count, rng, n)
-        vals = np.abs(immanant_batch(Partition(parts), u[:, :n])) ** power
-        vals = vals.astype(np.complex128)
-    else:
-        _, rows, cols, crows, ccols, d, seed, row = task
-        rng = _rng(seed, row, chunk)
-        u = haar_batch(d, count, rng, 1 + max(cols + ccols, default=-1))
-        left = np.prod(u[:, rows, cols], axis=1)
-        right = np.prod(u[:, crows, ccols], axis=1)
-        vals = left * np.conj(right)
+    """(count, mean, M2) of one chunk; task is (values, seed, row) with
+    values(rng, count) giving the chunk's sample values."""
+    values, seed, row = task
+    vals = values(_rng(seed, row, chunk), count)
     mean = vals.mean()
     m2 = float((np.abs(vals - mean) ** 2).sum())
     return len(vals), complex(mean), m2
@@ -182,6 +186,10 @@ def _chunk_plan(samples):
 
 
 def _run_chunks(task, samples, workers):
+    """Run every chunk of task and merge them in chunk order; returns
+    (count, mean, stderr)."""
+    if samples < 2:
+        raise ValueError("need at least 2 samples for a standard error")
     plan = _chunk_plan(samples)
     if workers > 1:
         import multiprocessing
@@ -191,7 +199,8 @@ def _run_chunks(task, samples, workers):
             stats = pool.starmap(_chunk_stats, [(task, c, k) for c, k in plan])
     else:
         stats = [_chunk_stats(task, c, k) for c, k in plan]
-    return _merge(stats)
+    count, mean, m2 = _merge(stats)
+    return count, mean, sqrt(m2 / (count - 1) / count)
 
 
 def estimate_moment(lam, d, power, samples, seed, workers=1, row=0) -> MomentEstimate:
@@ -203,14 +212,10 @@ def estimate_moment(lam, d, power, samples, seed, workers=1, row=0) -> MomentEst
     count.
     """
     lam = as_partition(lam)
-    n = lam.n
-    if d < n:
+    if d < lam.n:
         raise ValueError("need d >= |lam| to cut an n x n block")
-    if samples < 2:
-        raise ValueError("need at least 2 samples for a standard error")
-    task = ("immanant", lam.parts, n, d, power, seed, row)
-    count, mean, m2 = _run_chunks(task, samples, workers)
-    stderr = sqrt(m2 / (count - 1) / count) if count > 1 else float("inf")
+    task = (partial(_immanant_values, lam.parts, d, power), seed, row)
+    count, mean, stderr = _run_chunks(task, samples, workers)
     return MomentEstimate(
         kind="immanant", lam=lam, d=d, power=power, samples=count,
         seed=seed, estimate=mean, stderr=stderr,
@@ -227,15 +232,9 @@ def estimate_monomial(rows, cols, conj_rows, conj_cols, d, samples, seed,
         raise ValueError("rows and cols, and conj_rows and conj_cols, must have equal lengths")
     if not all(1 <= i <= d for i in (*rows, *cols, *conj_rows, *conj_cols)):
         raise ValueError(f"indices are 1-based and must lie in 1..{d}")
-    if samples < 2:
-        raise ValueError("need at least 2 samples for a standard error")
-    r = tuple(i - 1 for i in rows)
-    c = tuple(j - 1 for j in cols)
-    cr = tuple(i - 1 for i in conj_rows)
-    cc = tuple(j - 1 for j in conj_cols)
-    task = ("monomial", r, c, cr, cc, d, seed, row)
-    count, mean, m2 = _run_chunks(task, samples, workers)
-    stderr = sqrt(m2 / (count - 1) / count) if count > 1 else float("inf")
+    zero_based = (tuple(i - 1 for i in ix) for ix in (rows, cols, conj_rows, conj_cols))
+    task = (partial(_monomial_values, *zero_based, d), seed, row)
+    count, mean, stderr = _run_chunks(task, samples, workers)
     return MomentEstimate(
         kind="monomial", lam=None, d=d, power=None, samples=count,
         seed=seed, estimate=mean, stderr=stderr,

@@ -64,7 +64,7 @@ def test_mean_json_symbolic_and_evaluated(capsys):
 
 
 def test_second_moment_json(capsys):
-    code, payload = run_json(capsys, "second-moment", "2", "--workers", "1")
+    code, payload = run_json(capsys, "second-moment", "2")
     assert code == 0
     assert payload["kind"] == "second_moment"
     assert payload["rational"]["machine"] == second_moment((2,)).to_machine()
@@ -74,16 +74,12 @@ def test_second_moment_json(capsys):
 
 def test_second_moment_regime_warning(capsys):
     # evaluation below twice the block size is flagged as a continuation
-    code, payload = run_json(
-        capsys, "second-moment", "2", "--d", "3", "--workers", "1"
-    )
+    code, payload = run_json(capsys, "second-moment", "2", "--d", "3")
     assert code == 0
     assert len(payload["warnings"]) == 1
     assert "continuation" in payload["warnings"][0]
 
-    code, payload = run_json(
-        capsys, "second-moment", "2", "--d", "4", "--workers", "1"
-    )
+    code, payload = run_json(capsys, "second-moment", "2", "--d", "4")
     assert code == 0
     assert "warnings" not in payload
 
@@ -264,7 +260,7 @@ def test_verify_csv(capsys):
 
 
 def test_table1_small_n(capsys):
-    code, payload = run_json(capsys, "table1", "--max-n", "3", "--workers", "1")
+    code, payload = run_json(capsys, "table1", "--max-n", "3")
     assert code == 0
     assert payload["kind"] == "table1"
     assert payload["ok"] is True
@@ -278,9 +274,7 @@ def test_table1_small_n(capsys):
 
 
 def test_table1_csv(capsys):
-    code, out, err = run(
-        capsys, "table1", "--max-n", "2", "--workers", "1", "--format", "csv",
-    )
+    code, out, err = run(capsys, "table1", "--max-n", "2", "--format", "csv")
     assert code == 0
     rows = list(csv.DictReader(io.StringIO(out)))
     assert list(rows[0]) == [
@@ -300,6 +294,18 @@ def test_table2_json(capsys):
     for r in payload["rows"]:
         assert r["ok"] is True
         assert r["j"] == r["expected"]
+
+
+def test_table2_csv(capsys):
+    code, out, err = run(capsys, "table2", "--max-n", "3", "--format", "csv")
+    assert code == 0
+    assert out.splitlines() == [
+        "lambda,j,expected,ok",
+        "1,2,2,1",
+        "2,12,12,1",
+        "3,144,144,1",
+        '"2,1",180,180,1',
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -368,9 +374,7 @@ def test_csv_unavailable_for_formula_output(capsys):
 
 
 def test_limit_guard_without_override(capsys):
-    code, out, err = run(
-        capsys, "second-moment", "1^6", "--workers", "1"
-    )
+    code, out, err = run(capsys, "second-moment", "1^6")
     assert code == 2
     assert "limit" in err.lower()
 
@@ -381,7 +385,7 @@ def test_workers_validation(capsys):
 
 
 def test_table1_max_n_range(capsys):
-    code, out, err = run(capsys, "table1", "--max-n", "7", "--workers", "1")
+    code, out, err = run(capsys, "table1", "--max-n", "7")
     assert code == 2
 
 

@@ -37,7 +37,6 @@ from immom.moments import (
     representatives,
     second_moment,
     second_moment_direct,
-    second_moment_report,
     t_histogram,
     t_histogram_direct,
 )
@@ -45,7 +44,9 @@ from immom.partitions import (
     Partition,
     conjugate,
     dim_symmetric,
+    hook_product,
     partition_list,
+    unitary_numerator,
 )
 from immom.ratfun import RationalFunction as R
 from immom.symgroup import all_permutations, all_subsets, interval
@@ -284,23 +285,13 @@ def test_second_moment_asymptotics_match_leading_coefficient():
             )
 
 
-def test_second_moment_report_contents():
-    rep = second_moment_report((2, 1))
-    assert rep.lam == Partition((2, 1))
-    assert rep.n == 3
-    assert rep.value == second_moment((2, 1))
-    assert rep.wall_time_s >= 0
-    assert rep.workers == 1
-    # class coefficients recombine to the stated value
-    from immom.partitions import hook_product, unitary_numerator
-
-    total = R.from_integer(0)
-    for xi_parts, coeff in rep.class_coefficients.items():
-        xi = Partition(xi_parts)
-        total += R.ratio(
-            coeff, unitary_numerator(xi), den_scalar=hook_product(xi)
-        )
-    assert total == rep.value
+def test_class_coefficients_recombine_to_second_moment():
+    # sum over xi of A_xi / (H(xi) N(xi, d)), recombined here by hand
+    for lam in ((2, 1), (2, 2)):
+        total = R.from_integer(0)
+        for xi, coeff in seminormal.class_coefficients(lam).items():
+            total += R.ratio(coeff, unitary_numerator(xi), den_scalar=hook_product(xi))
+        assert total == second_moment(lam), lam
 
 
 def test_second_moment_limit_guard():
@@ -308,6 +299,8 @@ def test_second_moment_limit_guard():
         second_moment((1,) * (SECOND_MOMENT_LIMIT + 1))
     # an explicit limit unlocks nothing dangerous at small sizes
     assert second_moment((2,), limit=SECOND_MOMENT_LIMIT) == second_moment((2,))
+    # the cache holds one entry per shape, whatever the limit
+    assert second_moment((2, 2)) is second_moment((2, 2), limit=6)
 
 
 def test_second_moment_column_of_six_is_the_determinant_moment():
@@ -571,3 +564,14 @@ def test_report_shapes():
     assert rep["rational"]["machine"] == "6 / ((d - 1)*d*(d + 1))"
     rep2 = report("leading_coefficient", lam=Partition((1,)), integer=2)
     assert rep2["integer"] == 2
+
+
+# ---------------------------------------------------------------------------
+# package surface
+
+
+def test_every_exported_name_resolves():
+    import immom
+
+    for name in immom.__all__:
+        assert hasattr(immom, name), name

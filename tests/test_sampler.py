@@ -22,6 +22,7 @@ from immom.sampler import (
     CHUNK,
     MomentEstimate,
     _char_data,
+    _rng,
     estimate_moment,
     estimate_monomial,
     haar_batch,
@@ -278,9 +279,36 @@ def test_spawned_workers_do_not_change_the_stream(monkeypatch):
     )
     a = estimate_moment((2, 1), 4, 2, samples=2 * CHUNK + 17, seed=9, workers=1)
     b = estimate_moment((2, 1), 4, 2, samples=2 * CHUNK + 17, seed=9, workers=2)
-    assert methods == ["spawn"]
     assert a.estimate == b.estimate
     assert a.stderr == b.stderr
+    monomial = ([1, 2], [1, 3], [2, 1], [3, 1], 4)
+    a = estimate_monomial(*monomial, samples=2 * CHUNK + 17, seed=9, workers=1)
+    b = estimate_monomial(*monomial, samples=2 * CHUNK + 17, seed=9, workers=2)
+    assert methods == ["spawn", "spawn"]
+    assert a.estimate == b.estimate
+    assert a.stderr == b.stderr
+
+
+def test_stream_contract_chunk_by_chunk():
+    # each chunk c of grid row r draws haar_batch(d, k, _rng(seed, r, c), n)
+    # and reads its top n x n block; chunk statistics merge in chunk order
+    lam, d, power, seed, row = (2, 1), 5, 4, 31, 2
+    samples = 2 * CHUNK + 100
+    n_tot, mean, m2 = 0, 0.0 + 0.0j, 0.0
+    for c, count in enumerate((CHUNK, CHUNK, 100)):
+        u = haar_batch(d, count, _rng(seed, row, c), 3)
+        vals = (np.abs(immanant_batch(lam, u[:, :3])) ** power).astype(np.complex128)
+        cmean = vals.mean()
+        cm2 = float((np.abs(vals - cmean) ** 2).sum())
+        new_n = n_tot + count
+        delta = complex(cmean) - mean
+        mean = mean + delta * (count / new_n)
+        m2 = m2 + cm2 + abs(delta) ** 2 * (n_tot * count / new_n)
+        n_tot = new_n
+    est = estimate_moment(lam, d, power, samples, seed, row=row)
+    assert est.samples == n_tot == samples
+    assert est.estimate == mean
+    assert est.stderr == sqrt(m2 / (n_tot - 1) / n_tot)
 
 
 def test_chunk_boundaries_and_counts():
