@@ -9,8 +9,9 @@ the row-oriented subcommands (``sample``, ``verify``, ``table1``, ``table2``,
 ``dominance``).
 
 Exit status: 0 on success; 1 when a verification or golden-table comparison
-fails; 2 on usage or domain errors (bad partition syntax, evaluation at a
-pole, size caps exceeded without ``--limit-override``).
+fails; 2 on usage or domain errors (bad partition syntax, ``--d`` below the
+block size n, evaluation at a pole, size caps exceeded without
+``--limit-override``).
 """
 
 from __future__ import annotations
@@ -137,6 +138,12 @@ def _emit(args, lines, payload=None, rows=None, fields=None):
         sys.stdout.write(body)
 
 
+def _check_dimension(d, n):
+    """An n x n block needs a unitary of size d >= n."""
+    if d is not None and d < n:
+        raise CLIError(f"d must be at least n = {n}")
+
+
 def _evaluated_lines(f, d):
     if d is None:
         return []
@@ -199,6 +206,7 @@ def _apply_warnings(payload, lines, warnings):
 
 def _cmd_mean(args):
     lam = parse_partition(args.partition)
+    _check_dimension(args.d, lam.n)
     f = mean(lam)
     payload = report("mean", lam=lam, value=f, d=args.d)
     lines = [f"E|Imm^({lam}) M|^2 = {f.to_display()}"] + _evaluated_lines(f, args.d)
@@ -208,6 +216,7 @@ def _cmd_mean(args):
 
 def _cmd_second_moment(args):
     lam = parse_partition(args.partition)
+    _check_dimension(args.d, lam.n)
     t0 = time.perf_counter()
     f = second_moment(lam, limit=args.limit_override)
     wall_time_s = time.perf_counter() - t0
@@ -234,6 +243,7 @@ def _cmd_leading(args):
 def _cmd_det_moment(args):
     if args.power < 0 or args.power % 2:
         raise CLIError("--power must be a nonnegative even integer (moments of |det M|^(2t))")
+    _check_dimension(args.d, args.n)
     f = det_moment(args.n, args.power // 2)
     payload = report("determinant_moment", n=args.n, value=f, d=args.d)
     payload["power"] = args.power
@@ -245,6 +255,7 @@ def _cmd_det_moment(args):
 
 
 def _cmd_perm_conjecture(args):
+    _check_dimension(args.d, args.n)
     f = perm_fourth_conjecture(args.n)
     payload = report("permanent_fourth_conjecture", n=args.n, value=f, d=args.d)
     payload["power"] = 4
@@ -270,6 +281,7 @@ def _cmd_wg(args):
 
 def _cmd_dominance(args):
     n = args.n
+    _check_dimension(args.d, n)
     d_values = [args.d] if args.d is not None else list(range(n, n + 11))
     parts = partition_list(n)
     pairs = sum(

@@ -244,7 +244,7 @@ class RationalFunction:
         x = Fraction(d)
         for off in self.den.factors:
             if x + off == 0:
-                raise ValueError(f"pole at d = {d} (factor d + {off})")
+                raise ValueError(f"pole at d = {d} (factor {_linear(off)})")
         return Fraction(self.prefactor) * _poly_eval(self.numer, x) / self.den.evaluate(x)
 
     def leading_asymptotics(self):
@@ -340,11 +340,23 @@ def _format_factor(base, mult):
     return f"{base}^{mult}"
 
 
+def _linear(c):
+    """The factor d + c as text: d, d + 3 or d - 3."""
+    if c == 0:
+        return "d"
+    return f"d {'+' if c > 0 else '-'} {abs(c)}"
+
+
+def _base(c):
+    """The factor d + c as a denominator base: d, (d + 3) or (d - 3)."""
+    return _linear(c) if c == 0 else f"({_linear(c)})"
+
+
 def _den_pieces(den):
     pieces = []
     factors = dict(den.factors)
     if 0 in factors:
-        pieces.append(("d", factors.pop(0)))
+        pieces.append((_base(0), factors.pop(0)))
     for c in sorted(k for k in factors if k > 0):
         m = factors.get(c, 0)
         mneg = factors.get(-c, 0)
@@ -356,8 +368,7 @@ def _den_pieces(den):
     for c in sorted(factors):
         if factors[c] == 0:
             continue
-        sign = "+" if c > 0 else "-"
-        pieces.append((f"(d {sign} {abs(c)})", factors[c]))
+        pieces.append((_base(c), factors[c]))
     return pieces
 
 
@@ -385,8 +396,7 @@ def _format(f, machine):
     den_parts = [] if den.scalar == 1 else [str(den.scalar)]
     if machine:
         for c in sorted(den.factors):
-            base = "d" if c == 0 else f"(d {'+' if c > 0 else '-'} {abs(c)})"
-            den_parts.append(_format_factor(base, den.factors[c]))
+            den_parts.append(_format_factor(_base(c), den.factors[c]))
     else:
         for base, mult in _den_pieces(den):
             den_parts.append(_format_factor(base, mult))

@@ -16,6 +16,15 @@ where rho is the representation xi and:
   * P = P1 W P1 W, with W = rho(eps_[n]) and P1 the diagonal selector of
     the standard tableaux whose letters 1..n fill lam.
 
+P has rank r = f_lam^2 c^xi_(lam lam), where the Littlewood-Richardson
+coefficient c^xi_(lam lam) is the multiplicity of lam x lam in xi
+restricted to S_n x S_n.  When it is 0 the isotypic part is empty, so
+P = 0 and A_xi(lam) = 0.  The engine therefore screens each xi before any
+tableau work: xi must contain lam, then r > 0 (projection_rank, from
+characters of S_n and S_2n alone), then q = rank Q > 0 (fixed_rank).  For
+lam = (3,2) the r = 0 test removes 9 of the 24 irreps that pass the other
+two, and for (2,1,1,1) 10 of 16.
+
 Since W Q = Q, tr(QPQP) = tr((G^-1 H)^2) with B a basis of the range of Q,
 G = B^T D B and H = B^T D P1 W P1 B, where D is the diagonal form that
 makes rho orthogonal.
@@ -67,15 +76,18 @@ depends on lam is cached.  References: Okounkov and Vershik, Selecta Math.
 from __future__ import annotations
 
 import logging
+from collections import Counter
 from functools import cache
 from math import comb, factorial, isqrt, log2
 
 import numpy as np
 
-from .characters import character
+from .characters import _chi, character, character_table
 from .partitions import Partition, as_partition, dim_symmetric, partition_list
 
 log = logging.getLogger(__name__)
+# one summary line per shape, apart from the per-xi lines of log
+shape_log = logging.getLogger(__name__ + ".shapes")
 
 _PRIME_CEILING = 1 << 25
 _PRIME_COUNT = 16
@@ -275,6 +287,32 @@ def fixed_rank(xi, n) -> int:
     return total >> n
 
 
+def projection_rank(lam, xi) -> int:
+    """r = rank of P in xi: f_lam^2 times the Littlewood-Richardson
+    coefficient c^xi_(lam lam), the multiplicity of lam x lam in xi
+    restricted to S_n x S_n,
+
+        c = (n!)^-2 sum_(a, b) |C_a| |C_b| chi^lam(a) chi^lam(b) chi^xi(a u b)
+
+    over the classes a, b of S_n where chi^lam does not vanish."""
+    lam, xi = as_partition(lam), as_partition(xi)
+    n = lam.n
+    if xi.n != 2 * n:
+        raise ValueError("xi must partition twice |lam|")
+    table = character_table(n)
+    weighted = [(size * int(chi), mu.parts) for size, chi, mu in
+                zip(table.class_sizes, table.row(lam), table.partitions) if chi]
+    total = 0
+    for wa, a in weighted:
+        for wb, b in weighted:
+            total += wa * wb * _chi(xi.parts, tuple(sorted(a + b, reverse=True)))
+    c, rest = divmod(total, factorial(n) ** 2)
+    if rest:
+        raise ArithmeticError(f"{xi}: the class sum {total} for {lam} x {lam} "
+                              f"is not a multiple of (n!)^2")
+    return dim_symmetric(lam) ** 2 * c
+
+
 def corners(tab, n) -> np.ndarray:
     """Indices of the corner tableaux of xi = tab.shape: axial distance
     c_T(2i+1) - c_T(2i) > 0 at every pair i < n."""
@@ -338,13 +376,21 @@ def _crt(residue, bound, label):
 
 def coefficient(lam, xi) -> int:
     """A_xi(lam) as an exact integer."""
-    lam, xi = as_partition(lam), as_partition(xi)
+    return _coefficient(as_partition(lam), as_partition(xi))[0]
+
+
+def _coefficient(lam, xi):
+    """(A_xi(lam), stage): the stage is the first test that proves A_xi = 0
+    ("contains", "lr" for r = 0, "q" for q = 0) or "evaluated"."""
     n = lam.n
     if not _contains(lam, xi):
-        return 0
+        return 0, "contains"
+    r = projection_rank(lam, xi)
+    if r == 0:
+        return 0, "lr"
     q = fixed_rank(xi, n)
     if q == 0:
-        return 0
+        return 0, "q"
     tab = tableaux(xi.parts)
     if len(corners(tab, n)) != q:
         raise ArithmeticError(f"{xi}: the corner tableaux miss the fixed rank {q}")
@@ -355,9 +401,9 @@ def coefficient(lam, xi) -> int:
     value, modulus, used = _crt(
         lambda p: _residue(tab, fill, n, scale, p), bound, f"A_{xi}({lam})")
     if log.isEnabledFor(logging.DEBUG):
-        log.debug("xi=%s f=%d q=%d primes=%d headroom_bits=%.1f",
-                  xi, len(tab), q, used, log2(modulus) - log2(bound))
-    return value
+        log.debug("xi=%s f=%d q=%d r=%d primes=%d headroom_bits=%.1f",
+                  xi, len(tab), q, r, used, log2(modulus) - log2(bound))
+    return value, "evaluated"
 
 
 def pair_coefficient(lam, xi, A, B) -> int:
@@ -374,7 +420,7 @@ def pair_coefficient(lam, xi, A, B) -> int:
     every = set(range(1, n + 1))
     if not set(A) | set(B) <= every:
         raise ValueError("swap sets must lie inside 1..n")
-    if not _contains(lam, xi):
+    if not _contains(lam, xi) or projection_rank(lam, xi) == 0:
         return 0
     tab = tableaux(xi.parts)
     fill = tab.filling(lam)
@@ -408,8 +454,14 @@ def class_coefficients(lam) -> dict[Partition, int]:
     """The nonzero A_xi(lam) for every partition xi of 2n, in canonical order."""
     lam = as_partition(lam)
     coeffs = {}
+    stages = Counter()
     for xi in partition_list(2 * lam.n):
-        a = coefficient(lam, xi)
+        a, stage = _coefficient(lam, xi)
+        stages[stage] += 1
         if a:
             coeffs[xi] = a
+    if shape_log.isEnabledFor(logging.DEBUG):
+        shape_log.debug("lam=%s evaluated=%d skipped_contains=%d skipped_lr=%d "
+                        "skipped_q=%d", lam, stages["evaluated"], stages["contains"],
+                        stages["lr"], stages["q"])
     return coeffs

@@ -390,5 +390,25 @@ def test_table1_max_n_range(capsys):
 
 
 def test_wg_pole(capsys):
+    # the Weingarten function continues below d = n, so wg reaches the pole,
+    # named with the factor text of the display
     code, out, err = run(capsys, "wg", "2,1", "--d", "2")
     assert code == 2
+    assert err.strip() == "error: pole at d = 2 (factor d - 2)"
+
+
+@pytest.mark.parametrize("argv", [
+    ("mean", "3,2"),
+    ("second-moment", "3,2"),
+    ("perm-conjecture", "5"),
+    ("det-moment", "5"),
+    ("dominance", "5"),
+])
+def test_dimension_below_block_size_rejected(capsys, argv):
+    for d in ("2", "3", "4"):
+        code, out, err = run(capsys, *argv, "--d", d)
+        assert code == 2, (argv, d)
+        assert out == ""
+        assert err.strip() == "error: d must be at least n = 5", (argv, d)
+    code, out, err = run(capsys, *argv, "--d", "5")
+    assert code == 0, argv

@@ -311,6 +311,20 @@ def test_second_moment_row_of_six_is_the_permanent_conjecture():
     assert second_moment((6,), limit=6) == perm_fourth_conjecture(6)
 
 
+def test_second_moment_row_of_seven_is_the_permanent_conjecture():
+    assert second_moment((7,), limit=7) == perm_fourth_conjecture(7)
+
+
+def test_second_moment_columns_of_seven_and_eight_are_determinant_moments():
+    for n in (7, 8):
+        assert second_moment((1,) * n, limit=n) == det_moment(n, 2), n
+
+
+@pytest.mark.slow
+def test_second_moment_row_of_eight_is_the_permanent_conjecture():
+    assert second_moment((8,), limit=8) == perm_fourth_conjecture(8)
+
+
 # ---------------------------------------------------------------------------
 # the character-side engine against its per-swap-pair form
 
@@ -335,6 +349,28 @@ def test_class_coefficients_match_the_enumeration_kernel():
             assert _class_coefficients(lam) == _summed_pair_coefficients(lam), lam
 
 
+def _every_xi_evaluated(monkeypatch):
+    """Make the rank screen pass every xi, so the engine evaluates each one."""
+    monkeypatch.setattr(seminormal, "projection_rank", lambda lam, xi: 1)
+
+
+def test_irreps_skipped_for_a_zero_projection_rank_contribute_nothing(monkeypatch):
+    shapes = [lam for n in range(1, 5) for lam in partition_list(n)] + [Partition((3, 2))]
+    screened = {lam: _class_coefficients(lam) for lam in shapes}
+    _every_xi_evaluated(monkeypatch)
+    for lam in shapes:
+        assert _class_coefficients(lam) == screened[lam], lam
+
+
+def test_pair_coefficients_skipped_for_a_zero_projection_rank_vanish(monkeypatch):
+    cases = [(lam, xi, A, B) for lam in ((2, 1), (2, 2))
+             for xi in partition_list(2 * sum(lam))
+             for _, A, B in representatives(sum(lam))]
+    screened = [seminormal.pair_coefficient(*case) for case in cases]
+    _every_xi_evaluated(monkeypatch)
+    assert [seminormal.pair_coefficient(*case) for case in cases] == screened
+
+
 def test_pair_coefficient_can_be_negative():
     # the signed lift: this residue lies in the upper half of the modulus
     assert seminormal.pair_coefficient((2,), (2, 2), frozenset(), frozenset({1})) == -8
@@ -344,14 +380,16 @@ def test_engine_refuses_when_the_primes_run_out(monkeypatch):
     lam = (1, 1, 1, 1)
     p = seminormal.primes()[0]
     c = (factorial(4) // dim_symmetric(lam)) ** 2
-    xi = (4, 2, 1, 1)
     assert 4**4 * c * c > p  # one prime is below the bound of every xi with q > 0
-    assert 2 * c * c * len(seminormal.tableaux(xi)) > p  # and the per-pair bound
+    # and the per-pair bound, on an xi that passes the projection-rank screen
+    column, xi = (1,) * 5, (2, 2, 2, 2, 2)
+    assert seminormal.projection_rank(column, xi) > 0
+    assert 2 * factorial(5) ** 4 * len(seminormal.tableaux(xi)) > p
     monkeypatch.setattr(seminormal, "primes", lambda: (p,))
     with pytest.raises(ArithmeticError, match="bound"):
         _class_coefficients(lam)
     with pytest.raises(ArithmeticError, match="bound"):
-        seminormal.pair_coefficient(lam, xi, frozenset(), frozenset({1}))
+        seminormal.pair_coefficient(column, xi, frozenset(), frozenset({1}))
 
 
 def test_engine_refuses_when_the_corners_miss_the_fixed_rank(monkeypatch):
@@ -386,6 +424,30 @@ def test_engine_logs_positive_headroom_per_xi(caplog):
             assert int(fields["primes"]) == least, line
             counts.add(least)
     assert counts == {1, 2}
+
+
+def test_engine_logs_why_each_xi_was_skipped(caplog):
+    counts = {}
+    for lam in ((2, 2), (3, 2)):
+        caplog.clear()
+        with caplog.at_level(logging.DEBUG, logger="immom.seminormal"):
+            coeffs = _class_coefficients(lam)
+        lines = [r.getMessage() for r in caplog.records
+                 if r.name == "immom.seminormal.shapes"]
+        assert len(lines) == 1, lines
+        fields = dict(re.findall(r"(\w+)=(\S+)", lines[0]))
+        assert fields.pop("lam") == ",".join(map(str, lam))
+        stages = {k: int(v) for k, v in fields.items()}
+        assert set(stages) == {"evaluated", "skipped_contains", "skipped_lr", "skipped_q"}
+        assert sum(stages.values()) == len(partition_list(2 * sum(lam)))
+        assert stages["evaluated"] >= len(coeffs)
+        per_xi = [r for r in caplog.records if r.name == "immom.seminormal"]
+        assert len(per_xi) == stages["evaluated"]
+        counts[lam] = stages
+    # of the 28 irreps of S_10 that contain (3, 2), 13 have c = 0 (9 of
+    # them with q > 0), so 15 are evaluated instead of 24
+    assert counts[(3, 2)] == {"evaluated": 15, "skipped_contains": 14,
+                              "skipped_lr": 13, "skipped_q": 0}
 
 
 # ---------------------------------------------------------------------------

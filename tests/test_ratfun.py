@@ -170,6 +170,14 @@ def test_evaluate_at_pole_raises():
             f.evaluate(d)
 
 
+def test_pole_message_names_the_displayed_factor():
+    f = R.parse("6 / ((d - 3)*d*(d + 1))")
+    assert f.to_display() == "6 / (d (d - 3) (d + 1))"
+    for d, factor in ((3, "d - 3"), (0, "d"), (-1, "d + 1")):
+        with pytest.raises(ValueError, match=rf"^pole at d = {d} \(factor {re.escape(factor)}\)$"):
+            f.evaluate(d)
+
+
 def test_evaluate_fractional_point():
     f = R.ratio(1, {0: 1})
     assert f.evaluate(Fraction(1, 2)) == 2

@@ -4,15 +4,17 @@ The engine's coefficients are checked against the enumeration kernel in
 test_moments; these tests check the pieces they rest on: the tableau
 tables, that the two-term row updates define a representation with the
 stated character and invariant form, the corner basis of the fixed space
-of Q, and the adjacent-transposition words.
+of Q, the rank of P that screens out irreps before any tableau work, and
+the adjacent-transposition words.
 """
 
 from itertools import combinations
+from math import comb
 
 import numpy as np
 
 from immom.characters import character
-from immom.partitions import dim_symmetric, partition_list
+from immom.partitions import conjugate, dim_symmetric, partition_list
 from immom.seminormal import (
     _apply,
     _gram,
@@ -21,6 +23,7 @@ from immom.seminormal import (
     fixed_rank,
     interleave,
     primes,
+    projection_rank,
     reduced_word,
     tableaux,
 )
@@ -93,6 +96,39 @@ def test_corner_tableaux_span_the_fixed_space_with_a_diagonal_gram():
             g = np.diag(gram)
             assert np.array_equal(gram, np.diag(g)), xi
             assert np.all(g), xi
+
+
+def _lr(lam, xi):
+    """c^xi_(lam lam) from the rank r = f_lam^2 c."""
+    f2 = dim_symmetric(lam) ** 2
+    r = projection_rank(lam, xi)
+    assert r % f2 == 0, (lam, xi)
+    return r // f2
+
+
+def test_projection_rank_hand_values():
+    # s_(2,1)^2 = s_42 + s_411 + s_33 + 2 s_321 + s_3111 + s_222 + s_2211
+    square = {(4, 2): 1, (4, 1, 1): 1, (3, 3): 1, (3, 2, 1): 2,
+              (3, 1, 1, 1): 1, (2, 2, 2): 1, (2, 2, 1, 1): 1}
+    for xi in partition_list(6):
+        assert _lr((2, 1), xi) == square.get(xi.parts, 0), xi
+    assert projection_rank((2, 1), (3, 2, 1)) == 8
+
+
+def test_projection_ranks_fill_the_induced_representation():
+    # sum over xi of c^xi_(lam lam) f_xi is the dimension C(2n, n) f_lam^2 of
+    # lam x lam induced from S_n x S_n; c is invariant under conjugating
+    # lam and xi together, and c > 0 only when xi contains lam
+    for n in range(1, 7):
+        for lam in partition_list(n):
+            total = 0
+            for xi in partition_list(2 * n):
+                c = _lr(lam, xi)
+                total += c * dim_symmetric(xi)
+                assert c == _lr(conjugate(lam), conjugate(xi)), (lam, xi)
+                inside = len(lam) <= len(xi) and all(a <= b for a, b in zip(lam, xi))
+                assert c == 0 or inside, (lam, xi)
+            assert total == comb(2 * n, n) * dim_symmetric(lam) ** 2, lam
 
 
 def test_reduced_words_spell_their_permutations():
