@@ -52,6 +52,7 @@ from .sampler import (
     estimate_moment,
     estimate_monomial,
     haar_batch,
+    haar_block,
     haar_unitary,
     immanant,
     moment_scan,
@@ -80,6 +81,7 @@ __all__ = [
     "estimate_moment",
     "estimate_monomial",
     "haar_batch",
+    "haar_block",
     "haar_unitary",
     "hook_product",
     "immanant",

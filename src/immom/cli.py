@@ -331,6 +331,7 @@ def _cmd_sample(args):
     lam = parse_partition(args.partition)
     samples = _default_samples(args)
     d_values = _parse_d_range(args.d)
+    _check_dimension(min(d_values), lam.n)
     ests = moment_scan(lam, d_values, args.power, samples, args.seed,
                        workers=args.workers)
     rows = scan_rows(ests)
@@ -374,6 +375,7 @@ def _cmd_verify(args):
     lam = parse_partition(args.partition)
     samples = _default_samples(args)
     d_values = _parse_d_range(args.d)
+    _check_dimension(min(d_values), lam.n)
     if args.power == 2:
         exact = mean(lam)
     else:

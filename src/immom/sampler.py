@@ -1,16 +1,34 @@
 """Monte Carlo verification of the exact moment formulas.
 
-Haar unitaries are drawn as QR factorizations of complex Ginibre matrices
-with the R-diagonal phase folded back into Q (without that correction QR
-output is not Haar).  The estimators read only a few leading columns of U,
-so they draw only those: the first k columns of a Haar d x d unitary have
-the law of the phase-fixed Q factor of a thin QR of a d x k Ginibre matrix
-(Mezzadri 2007, math-ph/0609050).  Sampling is organized in fixed-size
-chunks, each seeded by a counter-based generator keyed on (seed, row,
-chunk), so results are bit-for-bit reproducible for a given seed no matter
-how many workers run the chunks; per-chunk running statistics are merged in
-chunk order.  Workers are forked where the platform can fork and spawned
-elsewhere.
+Haar draws are phase-fixed Q factors of complex Ginibre stacks: the Q of
+the QR factorization whose R has a positive real diagonal (without that
+convention the Q of a QR is not Haar).  The first k columns of a Haar
+d x d unitary have the law of that Q for a thin d x k Ginibre matrix
+(Mezzadri 2007, math-ph/0609050), so ``haar_batch`` draws only the columns
+a statistic reads.
+
+The immanant statistic reads only the top-left n x n block M.  Split the
+d x n Ginibre matrix into G_top (n x n) and G_bot ((d-n) x n); then
+M = G_top R^-1 with R^H R = G_top^H G_top + G_bot^H G_bot, so M depends on
+G_bot only through the complex Wishart matrix G_bot^H G_bot.  Its Bartlett
+factor T (Edelman and Rao, Acta Numerica 14 (2005)) has that Wishart law
+with min(d-n, n) rows: upper trapezoidal, T_ii = sqrt(2 Gamma(d-n-i))
+(0-based i) and standard complex normals above the diagonal.  ``haar_block``
+therefore orthonormalizes [G_top; T], at most 2n rows, and keeps its top n
+rows: a draw whose cost does not depend on d, which at d = n is the thin
+draw itself.
+
+Both draws use one orthonormalizer: classical Gram-Schmidt, every column
+projected twice, over a batch-last stack, so each step is one vectorized
+operation across the whole batch rather than one LAPACK call per tiny
+matrix.  Its R diagonal is the norm of each projected column, real and
+positive, so no phase correction follows.
+
+Sampling is organized in fixed-size chunks, each seeded by a
+counter-based generator keyed on (seed, row, chunk), so results are
+bit-for-bit reproducible for a given seed no matter how many workers run
+the chunks; per-chunk running statistics are merged in chunk order.
+Workers are forked where the platform can fork and spawned elsewhere.
 
 Immanants are evaluated from their definition as character-weighted
 permutation sums, with determinant and permanent fast paths (numpy's det,
@@ -19,15 +37,19 @@ and the +-1 sign-sum formula for the permanent).
 
 from __future__ import annotations
 
+import logging
 from dataclasses import dataclass
 from functools import cache, partial
 from math import sqrt
+from time import perf_counter
 
 import numpy as np
 
 from .characters import character_table
 from .partitions import Partition, as_partition
 from .symgroup import cycle_keyer, permutation_table
+
+log = logging.getLogger(__name__)
 
 CHUNK = 4096
 _SIGN_BLOCK = 64  # sign vectors per permanent block: all of them for n <= 7
@@ -38,24 +60,63 @@ def _rng(seed, row, chunk):
     return np.random.Generator(np.random.Philox(key=[int(seed) & (2**64 - 1), key2]))
 
 
+def _orthonormalize(a):
+    """The Q factor, with a positive real R diagonal, of every matrix in a
+    batch-last stack: a[j] is column j, of shape (rows, count).
+
+    Classical Gram-Schmidt with each column projected out twice, which
+    keeps Q orthonormal to rounding even for nearly dependent columns
+    ("twice is enough": Parlett, The Symmetric Eigenvalue Problem, 1980);
+    the result has the stack's (k, rows, count) layout.
+    """
+    q = np.empty_like(a)
+    for j, v in enumerate(a):
+        for _ in range(2 if j else 0):
+            coef = [(q[i].conj() * v).sum(axis=0) for i in range(j)]
+            v = v - sum(q[i] * c for i, c in enumerate(coef))
+        q[j] = v / np.sqrt((v.real**2 + v.imag**2).sum(axis=0))
+    return q
+
+
 def haar_batch(d, count, rng, k=None):
     """The first `k` columns (default all d) of `count` independent Haar
     d x d unitaries, as a (count, d, k) stack.
 
-    Only those columns are drawn: the phase-fixed Q of a thin QR of a d x k
-    complex Ginibre matrix has the law of the first k columns of a Haar
-    unitary (Mezzadri 2007, math-ph/0609050).  For one Ginibre stack it is
-    the leading k columns of the full draw, up to rounding.
+    Only those columns are drawn: the phase-fixed Q of a d x k complex
+    Ginibre matrix has the law of the first k columns of a Haar unitary
+    (Mezzadri 2007, math-ph/0609050).  For one Ginibre stack it is the
+    leading k columns of the full draw.
     """
     k = d if k is None else k
     if not 0 <= k <= d:
         raise ValueError(f"column count must lie in 0..{d}, got {k}")
     g = rng.standard_normal((count, d, k)) + 1j * rng.standard_normal((count, d, k))
-    q, r = np.linalg.qr(g)
-    diag = np.einsum("...ii->...i", r)
-    mag = np.abs(diag)
-    phase = np.where(mag == 0, 1.0, diag / np.where(mag == 0, 1.0, mag))
-    return q * phase[:, None, :]
+    return _orthonormalize(np.ascontiguousarray(g.transpose(2, 1, 0))).transpose(2, 1, 0)
+
+
+def haar_block(d, count, rng, n):
+    """The top-left n x n blocks of `count` independent Haar d x d
+    unitaries, as a (count, n, n) stack.
+
+    The top n rows of the phase-fixed Q of [G_top; T]: G_top is n x n
+    complex Ginibre, drawn first as ``haar_batch(n, count, rng, n)`` draws
+    it, and T is the Bartlett factor of the Wishart matrix of the d - n
+    rows below (module docstring).  At d = n, T is empty and the result is
+    ``haar_batch(n, count, rng, n)``.
+    """
+    if not 0 <= n <= d:
+        raise ValueError(f"block size must lie in 0..{d}, got {n}")
+    g = rng.standard_normal((count, n, n)) + 1j * rng.standard_normal((count, n, n))
+    m = min(d - n, n)
+    a = np.zeros((n, n + m, count), dtype=np.complex128)
+    a[:, :n] = g.transpose(2, 1, 0)
+    rows, cols = np.triu_indices(m, 1, n)
+    shape = (count, len(rows))
+    upper = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    a[cols, n + rows] = upper.T
+    diag = np.arange(m)
+    a[diag, n + diag] = np.sqrt(2 * rng.standard_gamma(d - n - diag, (count, m))).T
+    return _orthonormalize(a)[:, :n].transpose(2, 1, 0)
 
 
 def haar_unitary(d, rng):
@@ -151,9 +212,8 @@ def _merge(stats):
 
 
 def _immanant_values(parts, d, power, rng, count):
-    n = sum(parts)
-    u = haar_batch(d, count, rng, n)
-    vals = np.abs(immanant_batch(Partition(parts), u[:, :n])) ** power
+    m = haar_block(d, count, rng, sum(parts))
+    vals = np.abs(immanant_batch(Partition(parts), m)) ** power
     return vals.astype(np.complex128)
 
 
@@ -203,6 +263,20 @@ def _run_chunks(task, samples, workers):
     return count, mean, sqrt(m2 / (count - 1) / count)
 
 
+def _estimate(kind, lam, d, power, values, samples, seed, workers, row):
+    """Run the chunks of values(rng, count) and wrap the result; logs one
+    DEBUG line per estimate."""
+    t0 = perf_counter()
+    count, mean, stderr = _run_chunks((values, seed, row), samples, workers)
+    if log.isEnabledFor(logging.DEBUG):
+        seconds = perf_counter() - t0
+        log.debug("kind=%s d=%d samples=%d chunks=%d workers=%d seconds=%.3f "
+                  "samples_per_s=%.0f", kind, d, count, len(_chunk_plan(samples)),
+                  workers, seconds, count / max(seconds, 1e-9))
+    return MomentEstimate(kind=kind, lam=lam, d=d, power=power, samples=count,
+                          seed=seed, estimate=mean, stderr=stderr)
+
+
 def estimate_moment(lam, d, power, samples, seed, workers=1, row=0) -> MomentEstimate:
     """Monte Carlo estimate of the moment E |Imm_lam M|^power at dimension d.
 
@@ -213,13 +287,9 @@ def estimate_moment(lam, d, power, samples, seed, workers=1, row=0) -> MomentEst
     """
     lam = as_partition(lam)
     if d < lam.n:
-        raise ValueError("need d >= |lam| to cut an n x n block")
-    task = (partial(_immanant_values, lam.parts, d, power), seed, row)
-    count, mean, stderr = _run_chunks(task, samples, workers)
-    return MomentEstimate(
-        kind="immanant", lam=lam, d=d, power=power, samples=count,
-        seed=seed, estimate=mean, stderr=stderr,
-    )
+        raise ValueError(f"d must be at least n = {lam.n}")
+    return _estimate("immanant", lam, d, power, partial(_immanant_values, lam.parts, d, power),
+                     samples, seed, workers, row)
 
 
 def estimate_monomial(rows, cols, conj_rows, conj_cols, d, samples, seed,
@@ -233,12 +303,8 @@ def estimate_monomial(rows, cols, conj_rows, conj_cols, d, samples, seed,
     if not all(1 <= i <= d for i in (*rows, *cols, *conj_rows, *conj_cols)):
         raise ValueError(f"indices are 1-based and must lie in 1..{d}")
     zero_based = (tuple(i - 1 for i in ix) for ix in (rows, cols, conj_rows, conj_cols))
-    task = (partial(_monomial_values, *zero_based, d), seed, row)
-    count, mean, stderr = _run_chunks(task, samples, workers)
-    return MomentEstimate(
-        kind="monomial", lam=None, d=d, power=None, samples=count,
-        seed=seed, estimate=mean, stderr=stderr,
-    )
+    return _estimate("monomial", None, d, None, partial(_monomial_values, *zero_based, d),
+                     samples, seed, workers, row)
 
 
 def moment_scan(lam, d_values, power, samples, seed, workers=1):

@@ -14,6 +14,7 @@ from importlib import resources
 import jsonschema
 import pytest
 
+from immom import cli
 from immom.cli import main
 from immom.moments import leading_coefficient, mean, second_moment
 from immom.ratfun import RationalFunction as R
@@ -397,18 +398,31 @@ def test_wg_pole(capsys):
     assert err.strip() == "error: pole at d = 2 (factor d - 2)"
 
 
+def _must_not_run(*args, **kwargs):
+    raise AssertionError("computed before the domain check")
+
+
 @pytest.mark.parametrize("argv", [
     ("mean", "3,2"),
     ("second-moment", "3,2"),
     ("perm-conjecture", "5"),
     ("det-moment", "5"),
     ("dominance", "5"),
+    ("sample", "3,2", "--samples", "2000", "--workers", "1"),
+    ("verify", "3,2", "--samples", "2000", "--workers", "1"),
 ])
-def test_dimension_below_block_size_rejected(capsys, argv):
-    for d in ("2", "3", "4"):
-        code, out, err = run(capsys, *argv, "--d", d)
-        assert code == 2, (argv, d)
-        assert out == ""
-        assert err.strip() == "error: d must be at least n = 5", (argv, d)
+def test_dimension_below_block_size_rejected(capsys, monkeypatch, argv):
+    # the domain rule is checked before any exact or sampled computation;
+    # sample and verify check the smallest d of a range
+    rejected = ["2", "3", "4"] + (["4:6"] if argv[0] in ("sample", "verify") else [])
+    with monkeypatch.context() as m:
+        for name in ("mean", "second_moment", "det_moment", "perm_fourth_conjecture",
+                     "mean_dominance_check", "moment_scan"):
+            m.setattr(cli, name, _must_not_run)
+        for d in rejected:
+            code, out, err = run(capsys, *argv, "--d", d)
+            assert code == 2, (argv, d)
+            assert out == ""
+            assert err.strip() == "error: d must be at least n = 5", (argv, d)
     code, out, err = run(capsys, *argv, "--d", "5")
     assert code == 0, argv

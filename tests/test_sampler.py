@@ -1,12 +1,16 @@
 """Haar sampling and Monte Carlo moment estimation.
 
-Oracles: unitarity checked directly, immanants checked against the naive
-permutation sum (conftest) and against the pivoted determinant, estimator
-means checked against the exact closed forms, and the reproducibility
-contract checked bit for bit.
+Oracles: unitarity checked directly, the Gram-Schmidt draw checked against
+LAPACK QR with the R-diagonal phase fix, the block draw's law checked
+against exact Weingarten monomial integrals, immanants checked against the
+naive permutation sum (conftest) and against the pivoted determinant,
+estimator means checked against the exact closed forms, and the
+reproducibility contract checked bit for bit.
 """
 
+import logging
 import multiprocessing
+import re
 import tracemalloc
 from fractions import Fraction
 from math import sqrt
@@ -16,16 +20,18 @@ import pytest
 
 from conftest import brute_immanant, brute_permanent, random_complex_matrix
 from immom.characters import character
-from immom.moments import det_moment, mean
+from immom.moments import det_moment, mean, second_moment
 from immom.partitions import Partition, partition_list
 from immom.sampler import (
     CHUNK,
     MomentEstimate,
     _char_data,
+    _orthonormalize,
     _rng,
     estimate_moment,
     estimate_monomial,
     haar_batch,
+    haar_block,
     haar_unitary,
     immanant,
     immanant_batch,
@@ -34,6 +40,7 @@ from immom.sampler import (
     scan_rows,
 )
 from immom.symgroup import all_permutations
+from immom.weingarten import monomial_integral
 
 
 # ---------------------------------------------------------------------------
@@ -77,6 +84,100 @@ def test_haar_batch_shape_and_unitarity():
             assert np.abs(gram - np.eye(k)).max() <= 1e-12, (d, k)
     with pytest.raises(ValueError):
         haar_batch(3, 2, rng, 4)
+
+
+def test_orthonormalize_is_phase_fixed_lapack_qr():
+    # the independent oracle: LAPACK's QR with each column of Q turned by the
+    # phase of R's diagonal entry, which makes that diagonal positive real
+    rng = np.random.default_rng(8)
+    for d in (1, 2, 5, 20):
+        real = rng.standard_normal((5, d, d))
+        imag = rng.standard_normal((5, d, d))
+        for k in sorted({1, (d + 1) // 2, d}):
+            g = real[..., :k] + 1j * imag[..., :k]
+            q, r = np.linalg.qr(g)
+            diag = np.einsum("...ii->...i", r)
+            want = q * (diag / np.abs(diag))[:, None, :]
+            got = _orthonormalize(np.ascontiguousarray(g.transpose(2, 1, 0)))
+            assert np.abs(got.transpose(2, 1, 0) - want).max() <= 1e-12, (d, k)
+            drawn = haar_batch(d, 5, _FixedGinibre(real, imag), k)
+            assert np.abs(drawn - want).max() <= 1e-12, (d, k)
+    # nearly parallel columns: one projection leaves an overlap near 1e-8,
+    # the second brings it to rounding
+    g = rng.standard_normal((50, 6, 4)) + 1j * rng.standard_normal((50, 6, 4))
+    g[..., 1] = g[..., 0] + 1e-7 * g[..., 1]
+    q = _orthonormalize(np.ascontiguousarray(g.transpose(2, 1, 0))).transpose(2, 1, 0)
+    assert np.abs(q.conj().transpose(0, 2, 1) @ q - np.eye(4)).max() <= 1e-12
+
+
+def test_haar_block_shape_and_the_draw_at_d_equal_n():
+    for n in (1, 2, 3, 5):
+        for d in (n, n + 1, 2 * n, 3 * n, 50):
+            block = haar_block(d, 7, np.random.default_rng(d), n)
+            assert block.shape == (7, n, n) and block.dtype == np.complex128
+            # a block of a unitary is a contraction
+            assert np.linalg.norm(block, 2, axis=(1, 2)).max() <= 1 + 1e-12, (n, d)
+        # at d = n, T is empty: the block is the whole unitary, drawn from
+        # the same normals as the thin draw
+        block = haar_block(n, 9, _rng(4, 1, n), n)
+        assert np.array_equal(block, haar_batch(n, 9, _rng(4, 1, n), n))
+        assert np.abs(block.conj().transpose(0, 2, 1) @ block - np.eye(n)).max() <= 1e-12
+    with pytest.raises(ValueError):
+        haar_block(3, 2, np.random.default_rng(0), 4)
+
+
+class _CountingRng:
+    """A generator that counts the normals and gammas it hands out."""
+
+    def __init__(self, seed):
+        self.rng = np.random.default_rng(seed)
+        self.normals = self.gammas = 0
+
+    def standard_normal(self, shape):
+        out = self.rng.standard_normal(shape)
+        self.normals += out.size
+        return out
+
+    def standard_gamma(self, shape, size):
+        out = self.rng.standard_gamma(shape, size)
+        self.gammas += out.size
+        return out
+
+
+def test_haar_block_draws_the_same_count_for_every_large_d():
+    # the cost of a block draw does not depend on d once d >= 2n: n^2
+    # complex normals for G_top, n(n-1)/2 above T's diagonal, n gammas on it
+    n, count = 4, 3
+    for d in (2 * n, 2 * n + 1, 3 * n, 200, 10**6):
+        rng = _CountingRng(d)
+        haar_block(d, count, rng, n)
+        assert (rng.normals, rng.gammas) == (
+            count * (2 * n * n + n * (n - 1)), count * n), d
+    # below 2n, T has d - n rows
+    rng = _CountingRng(0)
+    haar_block(n + 1, count, rng, n)
+    assert (rng.normals, rng.gammas) == (count * (2 * n * n + 2 * (n - 1)), count)
+
+
+@pytest.mark.parametrize("d", [3, 4, 6, 9])
+def test_haar_block_law_matches_monomial_integrals(d):
+    # d = n, n + 1, 2n, 3n for n = 3: T empty, one row, full, full
+    n, samples = 3, 4 * 10**4
+    block = haar_block(d, samples, np.random.default_rng(900 + d), n)
+    monomials = {
+        "|M11|^2": ([1], [1], [1], [1]),
+        "|M11|^4": ([1, 1], [1, 1], [1, 1], [1, 1]),
+        "M11 M22 conj(M12 M21)": ([1, 2], [1, 2], [1, 2], [2, 1]),
+    }
+
+    def product(rows, cols):
+        return np.prod(block[:, np.array(rows) - 1, np.array(cols) - 1], axis=1)
+
+    for name, (rows, cols, crows, ccols) in monomials.items():
+        exact = float(monomial_integral(rows, cols, crows, ccols, d))
+        vals = product(rows, cols) * np.conj(product(crows, ccols))
+        stderr = np.sqrt(np.mean(np.abs(vals - vals.mean()) ** 2) / samples)
+        assert abs(vals.mean() - exact) <= 5 * stderr, (name, d, vals.mean(), exact)
 
 
 def test_haar_unitary_single():
@@ -232,8 +333,8 @@ def test_estimate_fields():
 
 
 def test_estimate_guards():
-    with pytest.raises(ValueError):
-        estimate_moment((2, 1), 2, 2, samples=100, seed=0)  # d < n
+    with pytest.raises(ValueError, match=r"^d must be at least n = 3$"):
+        estimate_moment((2, 1), 2, 2, samples=100, seed=0)
     with pytest.raises(ValueError):
         estimate_moment((2,), 4, 2, samples=1, seed=0)  # needs two samples
 
@@ -251,6 +352,32 @@ def test_estimate_matches_exact_fourth_moment():
     exact = float(det_moment(2, 2).evaluate(d))
     est = estimate_moment((1, 1), d, 4, samples=4 * 10**4, seed=78)
     assert abs(est.estimate.real - exact) <= 5 * est.stderr
+
+
+def test_estimate_at_large_d_matches_exact_fourth_moment():
+    # the block draw costs the same at d = 200 as at d = 2n
+    lam, d = (2, 1), 200
+    exact = float(second_moment(lam).evaluate(d))
+    est = estimate_moment(lam, d, 4, samples=10**5, seed=2001)
+    assert abs(est.real - exact) <= 5 * est.stderr
+
+
+def test_each_estimate_logs_one_debug_line(caplog):
+    with caplog.at_level(logging.DEBUG, logger="immom.sampler"):
+        estimate_moment((2, 1), 6, 2, samples=CHUNK + 1, seed=5)
+        estimate_monomial([1], [1], [1], [1], 3, samples=100, seed=5)
+    lines = [r.getMessage() for r in caplog.records if r.name == "immom.sampler"]
+    assert len(lines) == 2
+    fields = [dict(re.findall(r"(\w+)=(\S+)", line)) for line in lines]
+    assert [f["kind"] for f in fields] == ["immanant", "monomial"]
+    assert [(f["d"], f["samples"], f["chunks"], f["workers"]) for f in fields] == [
+        ("6", str(CHUNK + 1), "2", "1"), ("3", "100", "1", "1")]
+    for f in fields:
+        assert float(f["seconds"]) >= 0 and float(f["samples_per_s"]) > 0
+    caplog.clear()
+    with caplog.at_level(logging.INFO, logger="immom.sampler"):
+        estimate_moment((2, 1), 6, 2, samples=100, seed=5)
+    assert not [r for r in caplog.records if r.name == "immom.sampler"]
 
 
 def test_seed_reproducibility_bit_for_bit():
@@ -290,14 +417,14 @@ def test_spawned_workers_do_not_change_the_stream(monkeypatch):
 
 
 def test_stream_contract_chunk_by_chunk():
-    # each chunk c of grid row r draws haar_batch(d, k, _rng(seed, r, c), n)
-    # and reads its top n x n block; chunk statistics merge in chunk order
+    # each chunk c of grid row r draws haar_block(d, k, _rng(seed, r, c), n),
+    # the top n x n blocks; chunk statistics merge in chunk order
     lam, d, power, seed, row = (2, 1), 5, 4, 31, 2
     samples = 2 * CHUNK + 100
     n_tot, mean, m2 = 0, 0.0 + 0.0j, 0.0
     for c, count in enumerate((CHUNK, CHUNK, 100)):
-        u = haar_batch(d, count, _rng(seed, row, c), 3)
-        vals = (np.abs(immanant_batch(lam, u[:, :3])) ** power).astype(np.complex128)
+        u = haar_block(d, count, _rng(seed, row, c), 3)
+        vals = (np.abs(immanant_batch(lam, u)) ** power).astype(np.complex128)
         cmean = vals.mean()
         cm2 = float((np.abs(vals - cmean) ** 2).sum())
         new_n = n_tot + count
@@ -309,6 +436,9 @@ def test_stream_contract_chunk_by_chunk():
     assert est.samples == n_tot == samples
     assert est.estimate == mean
     assert est.stderr == sqrt(m2 / (n_tot - 1) / n_tot)
+    # at d = n the block draw is the thin draw of the same generator state
+    assert np.array_equal(haar_block(3, 100, _rng(seed, row, 0), 3),
+                          haar_batch(3, 100, _rng(seed, row, 0), 3))
 
 
 def test_chunk_boundaries_and_counts():
