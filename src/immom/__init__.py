@@ -51,7 +51,6 @@ from .sampler import (
     MomentEstimate,
     estimate_moment,
     estimate_monomial,
-    haar_batch,
     haar_block,
     haar_unitary,
     immanant,
@@ -80,7 +79,6 @@ __all__ = [
     "dominates",
     "estimate_moment",
     "estimate_monomial",
-    "haar_batch",
     "haar_block",
     "haar_unitary",
     "hook_product",

@@ -38,7 +38,7 @@ from .moments import (
 )
 from .partitions import Dominance, Partition, dominates, parse_partition, partition_list
 from .ratfun import RationalFunction
-from .sampler import moment_scan, scan_rows
+from .sampler import moment_scan
 from .weingarten import weingarten
 
 
@@ -57,14 +57,13 @@ class Table1Row:
     ``fourth`` is the value exactly as published.  For the two rows whose
     published text carries a documented misprint, ``fourth_corrected`` holds
     the repaired value (forced by the decay law and the leading-coefficient
-    table; see the note stored alongside) and ``erratum_note`` explains it.
+    table; see the note stored alongside).
     """
 
     lam: Partition
     mean: RationalFunction
     fourth: RationalFunction
     fourth_corrected: RationalFunction | None = None
-    erratum_note: str | None = None
 
     @property
     def fourth_best(self) -> RationalFunction:
@@ -94,7 +93,6 @@ def load_golden():
                 fourth_corrected=(
                     RationalFunction.parse(err["corrected"]) if err else None
                 ),
-                erratum_note=err["note"] if err else None,
             )
         )
     table2 = [(Partition(row["lambda"]), int(row["j"])) for row in blob["table2"]]
@@ -334,8 +332,7 @@ def _cmd_sample(args):
     _check_dimension(min(d_values), lam.n)
     ests = moment_scan(lam, d_values, args.power, samples, args.seed,
                        workers=args.workers)
-    rows = scan_rows(ests)
-    fields = ["lambda", "n", "d", "power", "samples", "seed", "estimate", "stderr"]
+    rows = [{"d": e.d, "estimate": e.real, "stderr": e.stderr} for e in ests]
     if len(ests) == 1:
         e = ests[0]
         payload = {
@@ -355,9 +352,7 @@ def _cmd_sample(args):
             "lambda": list(lam.parts), "n": lam.n,
             "power": args.power, "samples": samples,
             "seed": args.seed, "workers": args.workers,
-            "rows": [
-                {"d": e.d, "estimate": e.real, "stderr": e.stderr} for e in ests
-            ],
+            "rows": rows,
         }
         lines = [
             f"E|Imm^({lam}) M|^{args.power}, {samples} samples per point, "
@@ -367,7 +362,10 @@ def _cmd_sample(args):
             f"d = {e.d:>3}  estimate {e.real:.9g}  stderr {e.stderr:.3g}"
             for e in ests
         ]
-    _emit(args, lines, payload, rows=rows, fields=fields)
+    point = {"lambda": str(lam), "n": lam.n, "power": args.power,
+             "samples": samples, "seed": args.seed}
+    fields = ["lambda", "n", "d", "power", "samples", "seed", "estimate", "stderr"]
+    _emit(args, lines, payload, rows=[{**point, **r} for r in rows], fields=fields)
     return 0
 
 

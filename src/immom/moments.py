@@ -79,6 +79,8 @@ def det_moment(n, t) -> RationalFunction:
 
 def perm_fourth_conjecture(n) -> RationalFunction:
     """Conjectured closed form for the fourth moment of the permanent."""
+    if n < 1:
+        raise ValueError("need n >= 1")
     total = RationalFunction(0)
     for k in range(n // 2 + 1):
         shape = Partition((2 * n - 2 * k, 2 * k) if k else (2 * n,))

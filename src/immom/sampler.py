@@ -2,27 +2,23 @@
 
 Haar draws are phase-fixed Q factors of complex Ginibre stacks: the Q of
 the QR factorization whose R has a positive real diagonal (without that
-convention the Q of a QR is not Haar).  The first k columns of a Haar
-d x d unitary have the law of that Q for a thin d x k Ginibre matrix
-(Mezzadri 2007, math-ph/0609050), so ``haar_batch`` draws only the columns
-a statistic reads.
-
-The immanant statistic reads only the top-left n x n block M.  Split the
-d x n Ginibre matrix into G_top (n x n) and G_bot ((d-n) x n); then
+convention the Q of a QR is not Haar; Mezzadri 2007, math-ph/0609050).
+Permuting the rows and the columns of a Haar unitary keeps its law, so
+every statistic sampled here is read off a top-left n x n block M, and
+``haar_block`` draws only that block.  Split the d x n Ginibre matrix whose
+Q holds the first n columns into G_top (n x n) and G_bot ((d-n) x n); then
 M = G_top R^-1 with R^H R = G_top^H G_top + G_bot^H G_bot, so M depends on
 G_bot only through the complex Wishart matrix G_bot^H G_bot.  Its Bartlett
 factor T (Edelman and Rao, Acta Numerica 14 (2005)) has that Wishart law
 with min(d-n, n) rows: upper trapezoidal, T_ii = sqrt(2 Gamma(d-n-i))
 (0-based i) and standard complex normals above the diagonal.  ``haar_block``
 therefore orthonormalizes [G_top; T], at most 2n rows, and keeps its top n
-rows: a draw whose cost does not depend on d, which at d = n is the thin
-draw itself.
-
-Both draws use one orthonormalizer: classical Gram-Schmidt, every column
-projected twice, over a batch-last stack, so each step is one vectorized
-operation across the whole batch rather than one LAPACK call per tiny
-matrix.  Its R diagonal is the norm of each projected column, real and
-positive, so no phase correction follows.
+rows: a draw whose cost does not depend on d.  The orthonormalizer is
+classical Gram-Schmidt, every column projected twice, over a batch-last
+stack, so each step is one vectorized operation across the whole batch
+rather than one LAPACK call per tiny matrix.  Its R diagonal is the norm
+of each projected column, real and positive, so no phase correction
+follows.
 
 Sampling is organized in fixed-size chunks, each seeded by a
 counter-based generator keyed on (seed, row, chunk), so results are
@@ -78,31 +74,14 @@ def _orthonormalize(a):
     return q
 
 
-def haar_batch(d, count, rng, k=None):
-    """The first `k` columns (default all d) of `count` independent Haar
-    d x d unitaries, as a (count, d, k) stack.
-
-    Only those columns are drawn: the phase-fixed Q of a d x k complex
-    Ginibre matrix has the law of the first k columns of a Haar unitary
-    (Mezzadri 2007, math-ph/0609050).  For one Ginibre stack it is the
-    leading k columns of the full draw.
-    """
-    k = d if k is None else k
-    if not 0 <= k <= d:
-        raise ValueError(f"column count must lie in 0..{d}, got {k}")
-    g = rng.standard_normal((count, d, k)) + 1j * rng.standard_normal((count, d, k))
-    return _orthonormalize(np.ascontiguousarray(g.transpose(2, 1, 0))).transpose(2, 1, 0)
-
-
 def haar_block(d, count, rng, n):
     """The top-left n x n blocks of `count` independent Haar d x d
     unitaries, as a (count, n, n) stack.
 
     The top n rows of the phase-fixed Q of [G_top; T]: G_top is n x n
-    complex Ginibre, drawn first as ``haar_batch(n, count, rng, n)`` draws
-    it, and T is the Bartlett factor of the Wishart matrix of the d - n
-    rows below (module docstring).  At d = n, T is empty and the result is
-    ``haar_batch(n, count, rng, n)``.
+    complex Ginibre, and T is the Bartlett factor of the Wishart matrix of
+    the d - n rows below (module docstring).  At d = n, T is empty and the
+    result is the whole unitary.
     """
     if not 0 <= n <= d:
         raise ValueError(f"block size must lie in 0..{d}, got {n}")
@@ -121,7 +100,7 @@ def haar_block(d, count, rng, n):
 
 def haar_unitary(d, rng):
     """A single Haar-distributed d x d unitary."""
-    return haar_batch(d, 1, rng)[0]
+    return haar_block(d, 1, rng, d)[0]
 
 
 @cache
@@ -217,8 +196,8 @@ def _immanant_values(parts, d, power, rng, count):
     return vals.astype(np.complex128)
 
 
-def _monomial_values(rows, cols, crows, ccols, d, rng, count):
-    u = haar_batch(d, count, rng, 1 + max(cols + ccols, default=-1))
+def _monomial_values(rows, cols, crows, ccols, k, d, rng, count):
+    u = haar_block(d, count, rng, k)
     left = np.prod(u[:, rows, cols], axis=1)
     right = np.prod(u[:, crows, ccols], axis=1)
     return left * np.conj(right)
@@ -251,6 +230,7 @@ def _run_chunks(task, samples, workers):
     if samples < 2:
         raise ValueError("need at least 2 samples for a standard error")
     plan = _chunk_plan(samples)
+    workers = min(workers, len(plan))
     if workers > 1:
         import multiprocessing
 
@@ -292,19 +272,31 @@ def estimate_moment(lam, d, power, samples, seed, workers=1, row=0) -> MomentEst
                      samples, seed, workers, row)
 
 
+def _relabel(a, b):
+    """a and b with their distinct values replaced by 0, 1, ... in sorted
+    order, and the number of distinct values."""
+    index = {v: i for i, v in enumerate(sorted({*a, *b}))}
+    return tuple(index[v] for v in a), tuple(index[v] for v in b), len(index)
+
+
 def estimate_monomial(rows, cols, conj_rows, conj_cols, d, samples, seed,
                       workers=1, row=0) -> MomentEstimate:
     """Monte Carlo estimate of E prod U[rows, cols] conj(prod U[...]).
 
-    Index lists are 1-based, matching the exact monomial integrals.
+    Index lists are 1-based, matching the exact monomial integrals.  The
+    distinct rows and the distinct columns are each relabelled 1, 2, ... in
+    order, which keeps the law, so the entries are read off the top-left
+    k x k block, k the larger of the two distinct counts.
     """
     if len(rows) != len(cols) or len(conj_rows) != len(conj_cols):
         raise ValueError("rows and cols, and conj_rows and conj_cols, must have equal lengths")
     if not all(1 <= i <= d for i in (*rows, *cols, *conj_rows, *conj_cols)):
         raise ValueError(f"indices are 1-based and must lie in 1..{d}")
-    zero_based = (tuple(i - 1 for i in ix) for ix in (rows, cols, conj_rows, conj_cols))
-    return _estimate("monomial", None, d, None, partial(_monomial_values, *zero_based, d),
-                     samples, seed, workers, row)
+    rows, conj_rows, k_rows = _relabel(rows, conj_rows)
+    cols, conj_cols, k_cols = _relabel(cols, conj_cols)
+    values = partial(_monomial_values, rows, cols, conj_rows, conj_cols,
+                     max(k_rows, k_cols), d)
+    return _estimate("monomial", None, d, None, values, samples, seed, workers, row)
 
 
 def moment_scan(lam, d_values, power, samples, seed, workers=1):
@@ -316,22 +308,3 @@ def moment_scan(lam, d_values, power, samples, seed, workers=1):
         est = estimate_moment(lam, d, power, samples, seed, workers=workers, row=row)
         out.append(est)
     return out
-
-
-def scan_rows(estimates):
-    """CSV-ready dict rows for a list of MomentEstimates."""
-    rows = []
-    for e in estimates:
-        rows.append(
-            {
-                "lambda": "" if e.lam is None else str(e.lam),
-                "n": "" if e.lam is None else e.lam.n,
-                "d": e.d,
-                "power": e.power,
-                "samples": e.samples,
-                "seed": e.seed,
-                "estimate": repr(e.real),
-                "stderr": repr(e.stderr),
-            }
-        )
-    return rows

@@ -130,8 +130,8 @@ class Tableaux:
             cols[in_row] = (np.cumsum(in_row, axis=1) - 1)[in_row]
         contents = cols - words
         size = len(words)
-        partner = np.empty((m - 1, size), dtype=np.int64)
-        axial = np.empty((m - 1, size), dtype=np.int64)
+        partner = np.empty((max(m - 1, 0), size), dtype=np.int64)
+        axial = np.empty((max(m - 1, 0), size), dtype=np.int64)
         own = np.arange(size)
         for k in range(m - 1):
             axial[k] = contents[:, k + 1] - contents[:, k]
@@ -176,7 +176,7 @@ class Tableaux:
                 factors = np.concatenate(
                     [factors, np.ones((len(self), 1), dtype=np.int64)], axis=1)
             factors = factors[:, 0::2] * factors[:, 1::2] % p
-        return factors[:, 0]
+        return factors[:, 0] if factors.shape[1] else np.ones(len(self), dtype=np.int64)
 
     def action(self, p):
         """Per adjacent transposition s_k, the coefficients (diag, off) of

@@ -109,6 +109,19 @@ def test_perm_conjecture_json(capsys):
     assert "warnings" not in payload  # d = 8 >= 2n
 
 
+@pytest.mark.parametrize("n", ["-1", "0"])
+def test_perm_conjecture_rejects_n_below_one(capsys, n):
+    code, out, err = run(capsys, "perm-conjecture", n)
+    assert code == 2
+    assert out == "" and err == "error: need n >= 1\n"
+
+
+def test_second_moment_of_the_empty_shape(capsys):
+    code, out, err = run(capsys, "second-moment", "-", "--d", "3")
+    assert code == 0 and err == ""
+    assert out.startswith("E|Imm^(-) M|^4 = 1\nat d = 3: 1/1\n")
+
+
 def test_wg_json(capsys):
     code, payload = run_json(capsys, "wg", "2,1")
     assert code == 0

@@ -156,6 +156,12 @@ def test_perm_conjecture_matches_proven_cases():
         assert perm_fourth_conjecture(n) == second_moment((n,))
 
 
+def test_perm_conjecture_validates():
+    for n in (-1, 0):
+        with pytest.raises(ValueError, match=r"^need n >= 1$"):
+            perm_fourth_conjecture(n)
+
+
 def test_perm_conjecture_leading_coefficient():
     for n in range(1, 10):
         assert perm_fourth_conjecture(n).leading_asymptotics() == (
@@ -252,6 +258,12 @@ def test_second_moment_matches_direct_route():
     for n in range(1, 4):
         for lam in partition_list(n):
             assert second_moment(lam) == second_moment_direct(lam)
+
+
+def test_second_moment_of_the_empty_shape_is_one():
+    # the empty block has immanant 1; the engine reaches one xi = () with
+    # no letters and no pairs
+    assert second_moment(()) == second_moment_direct(()) == R(1)
 
 
 def test_second_moment_worker_count_is_immaterial():

@@ -30,14 +30,12 @@ from immom.sampler import (
     _rng,
     estimate_moment,
     estimate_monomial,
-    haar_batch,
     haar_block,
     haar_unitary,
     immanant,
     immanant_batch,
     moment_scan,
     permanent_batch,
-    scan_rows,
 )
 from immom.symgroup import all_permutations
 from immom.weingarten import monomial_integral
@@ -47,43 +45,16 @@ from immom.weingarten import monomial_integral
 # Haar unitaries
 
 
-class _FixedGinibre:
-    """Stands in for a generator: each standard_normal call hands out the
-    leading columns of the next of two fixed Gaussian stacks, so a thin and
-    a full draw factor the same Ginibre matrix."""
-
-    def __init__(self, real, imag):
-        self.parts = [real, imag]
-
-    def standard_normal(self, shape):
-        part = self.parts.pop(0)
-        assert part.shape[:-1] == shape[:-1]
-        return part[..., : shape[-1]]
-
-
-def test_haar_batch_shape_and_unitarity():
-    rng = np.random.default_rng(5)
+def test_haar_unitary_is_the_full_block_draw():
+    # haar_unitary(d, rng) is haar_block(d, 1, rng, d)[0], drawn from the
+    # same normals and leaving the generator in the same state
     for d in (1, 2, 3, 8, 64):
-        batch = haar_batch(d, 5, rng)
-        assert batch.shape == (5, d, d)
-        assert batch.dtype == np.complex128
-        eye = np.eye(d)
-        for U in batch:
-            assert np.abs(U.conj().T @ U - eye).max() <= 1e-12
-    # the thin draw is the full draw's leading columns, and has orthonormal
-    # columns, when both factor one Ginibre stack
-    for d in (1, 2, 5, 20):
-        real = rng.standard_normal((5, d, d))
-        imag = rng.standard_normal((5, d, d))
-        full = haar_batch(d, 5, _FixedGinibre(real, imag))
-        for k in sorted({1, (d + 1) // 2, d}):
-            thin = haar_batch(d, 5, _FixedGinibre(real, imag), k)
-            assert thin.shape == (5, d, k)
-            assert np.allclose(thin, full[..., :k], rtol=0, atol=1e-12), (d, k)
-            gram = thin.conj().transpose(0, 2, 1) @ thin
-            assert np.abs(gram - np.eye(k)).max() <= 1e-12, (d, k)
-    with pytest.raises(ValueError):
-        haar_batch(3, 2, rng, 4)
+        rng, twin = np.random.default_rng(d), np.random.default_rng(d)
+        U = haar_unitary(d, rng)
+        assert U.shape == (d, d) and U.dtype == np.complex128
+        assert np.array_equal(U, haar_block(d, 1, twin, d)[0])
+        assert rng.bit_generator.state == twin.bit_generator.state
+        assert np.abs(U.conj().T @ U - np.eye(d)).max() <= 1e-12
 
 
 def test_orthonormalize_is_phase_fixed_lapack_qr():
@@ -91,17 +62,13 @@ def test_orthonormalize_is_phase_fixed_lapack_qr():
     # phase of R's diagonal entry, which makes that diagonal positive real
     rng = np.random.default_rng(8)
     for d in (1, 2, 5, 20):
-        real = rng.standard_normal((5, d, d))
-        imag = rng.standard_normal((5, d, d))
         for k in sorted({1, (d + 1) // 2, d}):
-            g = real[..., :k] + 1j * imag[..., :k]
+            g = rng.standard_normal((5, d, k)) + 1j * rng.standard_normal((5, d, k))
             q, r = np.linalg.qr(g)
             diag = np.einsum("...ii->...i", r)
             want = q * (diag / np.abs(diag))[:, None, :]
             got = _orthonormalize(np.ascontiguousarray(g.transpose(2, 1, 0)))
             assert np.abs(got.transpose(2, 1, 0) - want).max() <= 1e-12, (d, k)
-            drawn = haar_batch(d, 5, _FixedGinibre(real, imag), k)
-            assert np.abs(drawn - want).max() <= 1e-12, (d, k)
     # nearly parallel columns: one projection leaves an overlap near 1e-8,
     # the second brings it to rounding
     g = rng.standard_normal((50, 6, 4)) + 1j * rng.standard_normal((50, 6, 4))
@@ -117,10 +84,13 @@ def test_haar_block_shape_and_the_draw_at_d_equal_n():
             assert block.shape == (7, n, n) and block.dtype == np.complex128
             # a block of a unitary is a contraction
             assert np.linalg.norm(block, 2, axis=(1, 2)).max() <= 1 + 1e-12, (n, d)
-        # at d = n, T is empty: the block is the whole unitary, drawn from
-        # the same normals as the thin draw
+        # at d = n, T is empty: the block is the whole unitary, the
+        # orthonormalized Ginibre matrix of the first normals drawn
         block = haar_block(n, 9, _rng(4, 1, n), n)
-        assert np.array_equal(block, haar_batch(n, 9, _rng(4, 1, n), n))
+        rng = _rng(4, 1, n)
+        g = rng.standard_normal((9, n, n)) + 1j * rng.standard_normal((9, n, n))
+        want = _orthonormalize(np.ascontiguousarray(g.transpose(2, 1, 0)))
+        assert np.array_equal(block, want.transpose(2, 1, 0))
         assert np.abs(block.conj().transpose(0, 2, 1) @ block - np.eye(n)).max() <= 1e-12
     with pytest.raises(ValueError):
         haar_block(3, 2, np.random.default_rng(0), 4)
@@ -189,7 +159,7 @@ def test_haar_unitary_single():
 
 def test_haar_dimension_one_is_a_phase():
     rng = np.random.default_rng(7)
-    batch = haar_batch(1, 100, rng)
+    batch = haar_block(1, 100, rng, 1)
     assert np.allclose(np.abs(batch[:, 0, 0]), 1.0, atol=1e-12)
 
 
@@ -436,9 +406,6 @@ def test_stream_contract_chunk_by_chunk():
     assert est.samples == n_tot == samples
     assert est.estimate == mean
     assert est.stderr == sqrt(m2 / (n_tot - 1) / n_tot)
-    # at d = n the block draw is the thin draw of the same generator state
-    assert np.array_equal(haar_block(3, 100, _rng(seed, row, 0), 3),
-                          haar_batch(3, 100, _rng(seed, row, 0), 3))
 
 
 def test_chunk_boundaries_and_counts():
@@ -461,6 +428,57 @@ def test_monomial_estimator_seed_contract():
     assert a.estimate == b.estimate
     with pytest.raises(ValueError):
         estimate_monomial([1], [1], [1], [1], 2, samples=1, seed=4)
+
+
+def test_monomial_indices_are_relabelled_onto_the_top_left_block():
+    # rows and columns are relabelled separately, each to 1, 2, ..., so
+    # |U[7,4]|^2 draws exactly the stream of |U[1,1]|^2
+    a = estimate_monomial([7], [4], [7], [4], 9, samples=CHUNK + 50, seed=12)
+    b = estimate_monomial([1], [1], [1], [1], 9, samples=CHUNK + 50, seed=12)
+    assert a.estimate == b.estimate and a.stderr == b.stderr
+
+
+def test_monomial_with_spread_indices_matches_the_exact_integral():
+    # U[2,5] U[7,3] conj(U[2,3] U[7,5]) at d = 7: rows {2, 7} and columns
+    # {3, 5} land on a 2 x 2 block with the pairing of the monomial kept
+    rows, cols, conj_rows, conj_cols, d = [2, 7], [5, 3], [2, 7], [3, 5], 7
+    exact = float(monomial_integral(rows, cols, conj_rows, conj_cols, d))
+    assert exact < 0
+    est = estimate_monomial(rows, cols, conj_rows, conj_cols, d, samples=10**5, seed=707)
+    assert abs(est.estimate - exact) <= 5 * est.stderr, (est.estimate, exact)
+
+
+class _SerialContext:
+    """Stands in for a multiprocessing context: records each pool size and
+    runs starmap in this process."""
+
+    def __init__(self):
+        self.sizes = []
+
+    def Pool(self, size):
+        self.sizes.append(size)
+        return self
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def starmap(self, func, args):
+        return [func(*a) for a in args]
+
+
+def test_pool_has_no_more_workers_than_chunks(monkeypatch):
+    context = _SerialContext()
+    monkeypatch.setattr(multiprocessing, "get_context", lambda method=None: context)
+    serial = estimate_moment((2, 1), 4, 2, samples=3 * CHUNK + 17, seed=9)
+    pooled = estimate_moment((2, 1), 4, 2, samples=3 * CHUNK + 17, seed=9, workers=64)
+    assert context.sizes == [4]
+    assert pooled.estimate == serial.estimate and pooled.stderr == serial.stderr
+    # one chunk needs no pool at all
+    estimate_moment((2, 1), 4, 2, samples=100, seed=9, workers=64)
+    assert context.sizes == [4]
 
 
 @pytest.mark.parametrize(
@@ -494,18 +512,3 @@ def test_moment_scan_rows_and_reproducibility():
     # and matches the single-point estimator at the same grid row
     single = estimate_moment((2, 1), 4, 2, samples=2000, seed=21, row=1)
     assert single.estimate == scans[1].estimate
-
-
-def test_scan_rows_csv_fields():
-    scans = moment_scan((2, 1), [3, 4], 2, samples=500, seed=2)
-    rows = scan_rows(scans)
-    assert len(rows) == 2
-    for r, est in zip(rows, scans):
-        assert list(r) == [
-            "lambda", "n", "d", "power", "samples", "seed", "estimate", "stderr",
-        ]
-        assert r["lambda"] == "2,1"
-        assert r["n"] == 3
-        assert r["d"] == est.d
-        assert float(r["estimate"]) == est.estimate.real
-        assert float(r["stderr"]) == est.stderr
