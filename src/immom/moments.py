@@ -50,7 +50,7 @@ from .symgroup import (
     embed_pair,
     epsilon,
     interval,
-    permutation_table,
+    marked_orbits,
     theta,
 )
 from .tsum import t_histogram
@@ -208,15 +208,20 @@ def second_moment_direct(lam) -> RationalFunction:
 # leading coefficients
 
 
-# (l, k) -> class array of theta(l, k) o (x (+) y), for one degree at a time
+# (n, l, k) -> class array of theta(l, k) o (a (+) c) over orbit
+# representatives a, c, for one degree at a time
 _CLASSES: dict = {}
-# G = F F^T runs in int64 when contraction * max|chi|^2 is below this
+# G = (F v) F^T runs in int64 when contraction * max|chi|^2 is below this
 _INT64_LIMIT = 2**63
 
 
 def _classes(n, l, k):
-    """Class index of theta(l, k) composed with x (+) y for x in S_l and
-    y in S_(n-l), as a read-only uint8 array with the smaller side on rows.
+    """Class index of theta(l, k) composed with a (+) c, for a and c the
+    orbit representatives of marked_orbits(l, k) and marked_orbits(n - l, k)
+    (the k marked points are the ones theta moves on each side), as a
+    read-only uint8 array with the smaller group's side on rows.  It has one
+    entry per pair of orbits, not per pair of permutations: 1 x 67 at
+    n = 10, l = 1, k = 1 where all of S_1 x S_9 has 362880 pairs.
 
     The array does not depend on lam, so it is built once per (l, k) and
     kept until a call at another degree clears the cache.  It is classified
@@ -228,14 +233,14 @@ def _classes(n, l, k):
     cls = _CLASSES.get((n, l, k))
     if cls is None:
         th = np.array(theta(l, k, n).img, dtype=np.uint8)
-        x_side = permutation_table(l)
-        y_side = permutation_table(n - l) + np.uint8(l)
+        x_side = marked_orbits(l, k)[0]
+        y_side = marked_orbits(n - l, k)[0] + np.uint8(l)
         combined = np.empty((len(x_side), len(y_side), n), dtype=np.uint8)
         combined[:, :, :l] = x_side[:, None, :]
         combined[:, :, l:] = y_side[None, :, :]
         cls = cycle_keyer(n)(th[combined].reshape(-1, n))
         cls = cls.reshape(len(x_side), len(y_side))
-        if len(x_side) > len(y_side):
+        if l > n - l:
             cls = np.ascontiguousarray(cls.T)
         cls.flags.writeable = False
         _CLASSES[(n, l, k)] = cls
@@ -247,33 +252,49 @@ def j_pair(lam, l, k) -> int:
 
     Equals the sum over x+, x- in S_l and y+, y- in S_(n-l) of the product
     F[x+,y+] F[x-,y-] F[x-,y+] F[x+,y-] with F[x,y] the character of
-    theta(l,k) composed with the block permutation x (+) y; collapsing the
+    theta(l,k) composed with the block permutation x (+) y.  Collapsing the
     sums over the larger side first turns it into the sum of squares of an
-    integer Gram matrix on the smaller side (F F^T when l <= n - l, else
-    F^T F; the two sums of squares are equal), which is how it is evaluated.
+    integer Gram matrix on the smaller side (the two sums of squares are
+    equal).
 
-    The class array behind F depends only on (n, l, k) and is cached (see
-    _classes); only the character gather and the Gram matrix depend on lam.
-    Every Gram entry, and every partial sum of it, is at most
-    contraction * max|chi|^2 in absolute value, so G is computed in int64
-    when that bound is below 2^63 and in Python integers otherwise; either
-    way it is exact.  A DEBUG log line reports the bits of headroom.
+    If h in S_l and g in S_(n-l) fix the k points theta moves on their
+    sides, h (+) g commutes with theta, so F[h x h^-1, y] = F[x, g y g^-1]
+    = F[x, y]: F is constant on the orbits of marked_orbits on each side,
+    independently.  With row orbits a, b of sizes w and column orbits c of
+    sizes v this gives
+
+        j_pair = sum over a, b of w_a w_b G_ab^2,  G = (F v) F^T,
+
+    where F is the orbit-by-orbit table (see _classes), cached
+    per (n, l, k); only the character gather and G depend on lam.  Every
+    entry of G, and every partial sum of it, is at most the contracted
+    group's order times max|chi|^2 in absolute value (the sizes v sum to
+    it), so G is computed in int64 when that bound is below 2^63 and in
+    Python integers otherwise; the weighted sum of squares is taken in
+    Python integers.  Either way it is exact.  A DEBUG log line reports the
+    orbit table's shape and the bits of headroom.
     """
     lam = as_partition(lam)
     n = lam.n
     cls = _classes(n, l, k)
+    w, v = marked_orbits(l, k)[1], marked_orbits(n - l, k)[1]
+    if l > n - l:
+        w, v = v, w
     chi_row = character_table(n).row(lam)
     chimax = int(np.abs(chi_row).max())
-    contraction = cls.shape[1]
+    contraction = factorial(max(l, n - l))
     bound = contraction * chimax * chimax
     if log.isEnabledFor(logging.DEBUG):
-        log.debug("lam=%s n=%d l=%d k=%d contraction=%d headroom_bits=%.1f",
-                  lam, n, l, k, contraction, log2(_INT64_LIMIT) - log2(bound))
+        log.debug("lam=%s n=%d l=%d k=%d orbits=%dx%d contraction=%d headroom_bits=%.1f",
+                  lam, n, l, k, *cls.shape, contraction,
+                  log2(_INT64_LIMIT) - log2(bound))
     F = chi_row[cls]
     if bound >= _INT64_LIMIT:
-        F = F.astype(object)
-    G = F @ F.T
-    return sum(int(g) ** 2 for g in G.ravel())
+        F, v = F.astype(object), v.astype(object)
+    G = (F * v) @ F.T
+    w = w.tolist()
+    return sum(wa * sum(wb * g * g for wb, g in zip(w, row))
+               for wa, row in zip(w, G.tolist()))
 
 
 def leading_coefficient(lam, limit=None) -> int:

@@ -7,17 +7,21 @@ involution exchanging {1..k} with {l+1..l+k}.  Serialized forms are always
 1-indexed one-line notation; in-memory images are 0-indexed.
 
 The vectorized engines use the array forms: permutation_table(m) is all of
-S_m as one image array, and cycle_keyer(m) classifies batches of image rows
-by cycle type.  Permutation.cycle_type stays the scalar reference.
+S_m as one image array, marked_orbits(m, k) is one row per orbit of S_m
+under conjugation by the permutations fixing k marked points, and
+cycle_keyer(m) classifies batches of image rows by cycle type.
+Permutation.cycle_type stays the scalar reference.
 """
 
 from __future__ import annotations
 
 from functools import cache
-from itertools import permutations as _itertools_permutations
+from itertools import permutations as _itertools_permutations, product
+from math import factorial
 
 import numpy as np
 
+from .characters import class_size
 from .partitions import Partition, partition_list
 
 
@@ -123,6 +127,58 @@ def permutation_table(m):
             block[:, 1:] = np.delete(np.arange(k, dtype=np.uint8), f)[table]
         table = out
     return table
+
+
+@cache
+def marked_orbits(m, k):
+    """One representative of each orbit of S_m under conjugation by the
+    pointwise stabiliser H of the marked points {0..k-1}, and the orbit
+    sizes: an (orbits, m) read-only uint8 image array and a read-only int64
+    array that sums to m!.
+
+    Conjugating p by h in H relabels the unmarked points and keeps every
+    marked one, so it keeps, for each marked point i, the next marked point
+    s(i) on i's cycle and the number g_i of unmarked points passed on the
+    way, and the cycle type mu of the cycles with no marked point; these
+    data also fix the orbit, since any two permutations sharing them are
+    matched by the relabelling that lines up their unmarked points.  So the
+    orbits are the triples (s in S_k, gaps g >= 0 with sum g <= m - k,
+    mu of m - k - sum g).  The centraliser of p in H fixes the unmarked
+    points on marked cycles and centralises the rest, so the orbit has
+    (m - k)! / z_mu elements.  The representative walks each marked cycle
+    through fresh unmarked points k, k+1, ... in turn, then lays the mu
+    cycles on the points left.  Enumerated directly, never touching S_m.
+    """
+    if not 0 <= k <= m:
+        raise ValueError(f"need 0 <= k <= m, got m={m} k={k}")
+    free = m - k
+    reps, sizes = [], []
+    gap_lists = [g for g in product(range(free + 1), repeat=k) if sum(g) <= free]
+    for s in _itertools_permutations(range(k)):
+        for gaps in gap_lists:
+            img = list(range(m))
+            nxt = k
+            for i, g in enumerate(gaps):
+                cur = i
+                for u in range(nxt, nxt + g):
+                    img[cur] = cur = u
+                img[cur] = s[i]
+                nxt += g
+            for mu in partition_list(m - nxt):
+                cyc = img[:]
+                start = nxt
+                for part in mu.parts:
+                    for j in range(start, start + part):
+                        cyc[j] = j + 1
+                    cyc[start + part - 1] = start
+                    start += part
+                reps.append(cyc)
+                sizes.append(factorial(free) // factorial(mu.n) * class_size(mu))
+    assert sum(sizes) == factorial(m), "orbits must partition S_m"
+    reps = np.array(reps, dtype=np.uint8).reshape(len(sizes), m)
+    sizes = np.array(sizes, dtype=np.int64)
+    reps.flags.writeable = sizes.flags.writeable = False
+    return reps, sizes
 
 
 @cache

@@ -122,6 +122,21 @@ def test_second_moment_of_the_empty_shape(capsys):
     assert out.startswith("E|Imm^(-) M|^4 = 1\nat d = 3: 1/1\n")
 
 
+@pytest.mark.parametrize("argv, kind, extra", [
+    (("mean", "-"), "mean", {}),
+    (("second-moment", "-", "--d", "3"), "second_moment", {"value": "1/1"}),
+    (("leading", "-"), "leading_coefficient", {"integer": 1}),
+    (("sample", "-", "--d", "3", "--samples", "100", "--workers", "1"),
+     "estimate", {"estimate": 1.0, "stderr": 0.0}),
+])
+def test_empty_shape_json_validates(capsys, argv, kind, extra):
+    code, payload = run_json(capsys, *argv)
+    assert code == 0
+    assert payload["kind"] == kind
+    assert payload["lambda"] == [] and payload["n"] == 0
+    assert extra.items() <= payload.items()
+
+
 def test_wg_json(capsys):
     code, payload = run_json(capsys, "wg", "2,1")
     assert code == 0

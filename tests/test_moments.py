@@ -14,12 +14,14 @@ Oracles, in increasing strength:
 import logging
 import re
 from fractions import Fraction
+from functools import cache
+from itertools import permutations
 from math import comb, factorial
 
 import pytest
 
 from immom import moments, seminormal
-from immom.characters import character_of
+from immom.characters import character, character_of
 from immom.moments import (
     LEADING_LIMIT,
     SECOND_MOMENT_LIMIT,
@@ -49,7 +51,7 @@ from immom.partitions import (
     unitary_numerator,
 )
 from immom.ratfun import RationalFunction as R
-from immom.symgroup import all_permutations, all_subsets, interval
+from immom.symgroup import Permutation, all_permutations, all_subsets, interval, theta
 from immom.weingarten import monomial_integral
 
 
@@ -495,8 +497,6 @@ def test_j_pair_base_case():
 
 
 def test_j_pair_matches_direct_membership_route():
-    from immom.symgroup import theta
-
     for n in range(1, 5):
         for lam in partition_list(n):
             for l in range(n + 1):
@@ -504,6 +504,37 @@ def test_j_pair_matches_direct_membership_route():
                     A = interval(l)
                     B = frozenset(theta(l, k, n)(i) for i in A)
                     assert j_pair(lam, l, k) == j_pair_direct(lam, A, B), (
+                        lam, l, k,
+                    )
+
+
+@cache
+def _composite_types(n, l, k):
+    # cycle type of theta(l, k) o (x (+) y) for every x in S_l, y in S_(n-l)
+    th = theta(l, k, n)
+    return [[(th * Permutation(x + tuple(l + j for j in y))).cycle_type()
+             for y in permutations(range(n - l))] for x in permutations(range(l))]
+
+
+def _j_pair_full_gram(lam, l, k):
+    # the unreduced route: F over every (x, y) pair, no orbits, G = F F^T
+    # on the smaller side (tr (F F^T)^2 = tr (F^T F)^2)
+    F = [[character(lam, ct) for ct in row] for row in _composite_types(lam.n, l, k)]
+    if l > lam.n - l:
+        F = list(zip(*F))
+    total = 0
+    for row_p in F:
+        for row_m in F:
+            total += sum(a * b for a, b in zip(row_p, row_m)) ** 2
+    return total
+
+
+def test_j_pair_matches_the_full_gram_over_every_pair():
+    for n in range(1, 7):
+        for lam in partition_list(n):
+            for l in range(n + 1):
+                for k in range(min(l, n - l) + 1):
+                    assert j_pair(lam, l, k) == _j_pair_full_gram(lam, l, k), (
                         lam, l, k,
                     )
 
@@ -558,8 +589,11 @@ def test_j_pair_logs_positive_headroom(caplog):
     assert len(lines) == sum(l + 1 for l in range(1, 4))  # one per l >= 1 call
     for line in lines:
         fields = dict(re.findall(r"(\w+)=(\S+)", line))
-        assert {"lam", "n", "l", "k", "contraction", "headroom_bits"} <= set(fields)
+        assert {"lam", "n", "l", "k", "orbits", "contraction",
+                "headroom_bits"} <= set(fields)
         assert int(fields["n"]) == 6 and int(fields["l"]) >= 1
+        rows, cols = map(int, fields["orbits"].split("x"))
+        assert 1 <= rows <= cols
         assert float(fields["headroom_bits"]) > 0
 
 
@@ -578,6 +612,14 @@ def test_leading_coefficient_conjugation_invariant():
     for n in range(1, 7):
         for lam in partition_list(n):
             assert leading_coefficient(lam) == leading_coefficient(conjugate(lam))
+
+
+def test_leading_coefficient_past_the_guard_at_eleven():
+    assert leading_coefficient((1,) * 11, limit=11) == factorial(11) * factorial(12)
+    for lam in [Partition((5, 4, 2)), Partition((4, 3, 2, 1, 1))]:
+        assert leading_coefficient(lam, limit=11) == leading_coefficient(
+            conjugate(lam), limit=11
+        )
 
 
 def test_leading_coefficient_positive_even():

@@ -13,7 +13,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from immom.partitions import Partition, partition_index
+from immom.characters import class_size
+from immom.partitions import Partition, partition_index, partition_list
 from immom.symgroup import (
     Permutation,
     all_permutations,
@@ -22,6 +23,7 @@ from immom.symgroup import (
     embed_pair,
     epsilon,
     interval,
+    marked_orbits,
     permutation_table,
     theta,
 )
@@ -130,6 +132,45 @@ def test_cycle_keyer_matches_scalar_cycle_type():
         index = partition_index(m)
         expect = np.array([index[p.cycle_type().parts] for p in perms])
         np.testing.assert_array_equal(keys, expect)
+
+
+def test_marked_orbits_partition_the_group_under_the_pointwise_stabiliser():
+    # brute force: conjugate each representative by every permutation that
+    # fixes the marked points 0..k-1, and check the orbits tile S_m exactly
+    for m in range(7):
+        group = set(permutations(range(m)))
+        for k in range(m + 1):
+            reps, sizes = marked_orbits(m, k)
+            assert reps.dtype == np.uint8 and reps.shape == (len(sizes), m)
+            assert not reps.flags.writeable and not sizes.flags.writeable
+            stab = [tuple(range(k)) + h for h in permutations(range(k, m))]
+            seen = set()
+            for rep, size in zip(reps.tolist(), sizes.tolist()):
+                orbit = set()
+                for h in stab:
+                    conj = [0] * m
+                    for i in range(m):
+                        conj[h[i]] = h[rep[i]]  # h rep h^-1
+                    orbit.add(tuple(conj))
+                assert len(orbit) == size, (m, k, rep)
+                assert not orbit & seen, (m, k, rep)
+                seen |= orbit
+            assert seen == group, (m, k)
+
+
+def test_marked_orbits_ends():
+    reps, sizes = marked_orbits(0, 0)
+    assert reps.shape == (1, 0) and sizes.tolist() == [1]
+    # no marked point: one orbit per conjugacy class, in canonical order
+    reps, sizes = marked_orbits(5, 0)
+    assert [Permutation(r).cycle_type() for r in reps.tolist()] == list(partition_list(5))
+    assert sizes.tolist() == [class_size(mu) for mu in partition_list(5)]
+    # every point marked: the stabiliser is trivial, so every orbit is one element
+    reps, sizes = marked_orbits(4, 4)
+    assert sorted(map(tuple, reps.tolist())) == sorted(permutations(range(4)))
+    assert set(sizes.tolist()) == {1}
+    with pytest.raises(ValueError):
+        marked_orbits(2, 3)
 
 
 # ---------------------------------------------------------------------------
