@@ -28,7 +28,11 @@ Workers are forked where the platform can fork and spawned elsewhere.
 
 Immanants are evaluated from their definition as character-weighted
 permutation sums, with determinant and permanent fast paths (numpy's det,
-and the +-1 sign-sum formula for the permanent).
+and the +-1 sign-sum formula for the permanent).  Both sums run over
+bounded blocks, so the memory a worker holds does not grow with the chunk
+size for any shape: the permanent over blocks of sign vectors, the general
+immanant over blocks of samples holding about _TERM_BLOCK complex terms
+(1 MiB) each.
 """
 
 from __future__ import annotations
@@ -49,6 +53,7 @@ log = logging.getLogger(__name__)
 
 CHUNK = 4096
 _SIGN_BLOCK = 64  # sign vectors per permanent block: all of them for n <= 7
+_TERM_BLOCK = 2**16  # complex terms per general-immanant block
 
 
 def _rng(seed, row, chunk):
@@ -113,7 +118,19 @@ def _char_data(parts):
 
 
 def immanant_batch(lam, M):
-    """Immanants of a stack (B, n, n) of matrices, as complex values."""
+    """Immanants of a stack (B, n, n) of matrices, as complex values.
+
+    The general path forms the (samples, n!) products of matched entries
+    over consecutive blocks of samples of about _TERM_BLOCK complex terms
+    each (544 samples at n = 5, 80 at n = 6, 16 at every n >= 7), so it
+    holds two arrays of about 1 MiB whatever B is.  A block is a multiple
+    of 16 samples, at least 16, and a lone last sample joins the block
+    before it.  The BLAS matrix-vector product sums a row that falls in a
+    full group of rows in one order and a row of the remainder in another,
+    and numpy sends a one-row product to yet another kernel; with these
+    rules, on one BLAS thread, every value is bit for bit that of one
+    unblocked product.
+    """
     lam = as_partition(lam)
     n = lam.n
     if M.shape[-2:] != (n, n):
@@ -123,12 +140,20 @@ def immanant_batch(lam, M):
     if lam.parts == (n,):
         return permanent_batch(M)
     perms, chars = _char_data(lam.parts)
-    # row by row, so no (B, n!, n) gather is formed; the product order is
-    # that of prod(axis=2) over the gather, so the values are the same
-    terms = M[:, 0, perms[:, 0]]
-    for i in range(1, n):
-        terms *= M[:, i, perms[:, i]]
-    return terms @ chars
+    block = max(16, _TERM_BLOCK // len(perms) // 16 * 16)
+    out = np.empty(len(M), dtype=np.complex128)
+    start = 0
+    for stop in [*range(block, len(M) - 1, block), len(M)]:
+        m = M[start:stop]
+        # row by row, so no (block, n!, n) gather is formed; the product
+        # order is that of prod(axis=2) over the gather, so the values are
+        # the same
+        terms = m[:, 0, perms[:, 0]]
+        for i in range(1, n):
+            terms *= m[:, i, perms[:, i]]
+        out[start:stop] = terms @ chars
+        start = stop
+    return out
 
 
 def immanant(lam, M):
@@ -229,10 +254,17 @@ def _run_chunks(task, samples, workers):
     (count, mean, stderr)."""
     if samples < 2:
         raise ValueError("need at least 2 samples for a standard error")
+    if workers < 1:
+        raise ValueError("workers must be at least 1")
     plan = _chunk_plan(samples)
     workers = min(workers, len(plan))
     if workers > 1:
         import multiprocessing
+
+        # numpy loads numpy.random lazily; loading it here, not at import
+        # of this module, lets forked workers inherit it without making
+        # every import of the package pay for it
+        import numpy.random
 
         method = "fork" if "fork" in multiprocessing.get_all_start_methods() else "spawn"
         with multiprocessing.get_context(method).Pool(workers) as pool:
@@ -250,9 +282,10 @@ def _estimate(kind, lam, d, power, values, samples, seed, workers, row):
     count, mean, stderr = _run_chunks((values, seed, row), samples, workers)
     if log.isEnabledFor(logging.DEBUG):
         seconds = perf_counter() - t0
+        chunks = len(_chunk_plan(samples))
         log.debug("kind=%s d=%d samples=%d chunks=%d workers=%d seconds=%.3f "
-                  "samples_per_s=%.0f", kind, d, count, len(_chunk_plan(samples)),
-                  workers, seconds, count / max(seconds, 1e-9))
+                  "samples_per_s=%.0f", kind, d, count, chunks,
+                  min(workers, chunks), seconds, count / max(seconds, 1e-9))
     return MomentEstimate(kind=kind, lam=lam, d=d, power=power, samples=count,
                           seed=seed, estimate=mean, stderr=stderr)
 

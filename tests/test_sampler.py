@@ -10,14 +10,20 @@ reproducibility contract checked bit for bit.
 
 import logging
 import multiprocessing
+import os
 import re
+import subprocess
+import sys
+import textwrap
 import tracemalloc
 from fractions import Fraction
 from math import sqrt
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import immom
 from conftest import brute_immanant, brute_permanent, random_complex_matrix
 from immom.characters import character
 from immom.moments import det_moment, mean, second_moment
@@ -231,6 +237,19 @@ def test_permanent_memory_is_bounded_by_the_sign_block(rng):
     assert peak < 8 * 2**20
 
 
+def test_general_immanant_memory_is_bounded_by_the_term_block(rng):
+    # the unblocked product formed two (4096, 720) complex arrays, 90 MiB
+    # at peak
+    M = rng.standard_normal((CHUNK, 6, 6)) + 1j * rng.standard_normal((CHUNK, 6, 6))
+    tracemalloc.start()
+    try:
+        immanant_batch((3, 2, 1), M)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20
+
+
 def test_general_immanant_matches_naive_sum(rng):
     # includes shapes with at least two distinct part sizes, which exercise
     # the general character-sum path rather than the det/perm shortcuts
@@ -267,6 +286,65 @@ def test_general_immanant_is_the_gather_product_bit_for_bit():
             perms, chars = _char_data(lam.parts)
             want = M[:, np.arange(n)[None, :], perms].prod(axis=2) @ chars
             assert np.array_equal(immanant_batch(lam, M), want), lam
+
+
+def _run_python(code, **env):
+    """Run code in a fresh interpreter that imports immom from this tree;
+    returns its standard output."""
+    src = str(Path(immom.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-c", textwrap.dedent(code)],
+                          env={**os.environ, "PYTHONPATH": path, **env},
+                          capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    return done.stdout
+
+
+def test_sample_blocks_keep_the_unblocked_values_bit_for_bit():
+    # the general path runs over blocks of 544 samples at n = 5, 80 at
+    # n = 6 and 16 at n = 7; each count below puts a block edge, or none,
+    # where a different one could change the BLAS row sums.  The reference
+    # takes one matrix-vector product over every sample, and its gather is
+    # formed 256 samples at a time only to bound its memory.  One BLAS
+    # thread, since a threaded product splits the rows by their number.
+    # At one sample numpy reduces the contiguous gather with its scalar
+    # complex multiply, so that count is held to rounding.
+    out = _run_python("""
+        import numpy as np
+        from immom.partitions import partition_list
+        from immom.sampler import _char_data, immanant_batch
+
+        def gather_product(M, perms, chars):
+            n = M.shape[-1]
+            terms = np.concatenate([
+                M[s:s + 256, np.arange(n)[None, :], perms].prod(axis=2)
+                for s in range(0, len(M), 256)])
+            return terms @ chars
+
+        rng = np.random.default_rng(19)
+        for n, counts in ((5, (1, 15, 16, 17, 543, 544, 545, 1001, 4096)),
+                          (6, (1, 15, 16, 17, 79, 80, 81, 1001, 4096)),
+                          (7, (1, 15, 16, 17, 18, 37))):
+            shapes = [lam for lam in partition_list(n)
+                      if lam.parts not in ((n,), (1,) * n)]
+            if n == 7:
+                shapes = [shapes[len(shapes) // 2]]
+            shape = (max(counts), n, n)
+            M = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+            for lam in shapes:
+                perms, chars = _char_data(lam.parts)
+                for count in counts:
+                    got = immanant_batch(lam, M[:count])
+                    want = gather_product(M[:count], perms, chars)
+                    if count == 1:
+                        ok = np.allclose(got, want, rtol=1e-12, atol=0)
+                    else:
+                        ok = np.array_equal(got, want)
+                    print(lam.parts, count, ok)
+    """, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
+    rows = out.split("\n")[:-1]
+    assert len(rows) == 5 * 9 + 9 * 9 + 6
+    assert [row for row in rows if not row.endswith("True")] == []
 
 
 def test_immanant_single_matrix_wrapper(rng):
@@ -307,6 +385,13 @@ def test_estimate_guards():
         estimate_moment((2, 1), 2, 2, samples=100, seed=0)
     with pytest.raises(ValueError):
         estimate_moment((2,), 4, 2, samples=1, seed=0)  # needs two samples
+    # the same rule as the CLI's --workers, for the one-chunk run that
+    # needs no pool as well
+    for workers in (0, -1):
+        with pytest.raises(ValueError, match=r"^workers must be at least 1$"):
+            estimate_moment((2,), 4, 2, samples=100, seed=0, workers=workers)
+        with pytest.raises(ValueError, match=r"^workers must be at least 1$"):
+            estimate_monomial([1], [1], [1], [1], 2, samples=100, seed=0, workers=workers)
 
 
 def test_estimate_matches_exact_mean():
@@ -469,16 +554,53 @@ class _SerialContext:
         return [func(*a) for a in args]
 
 
-def test_pool_has_no_more_workers_than_chunks(monkeypatch):
+def test_pool_has_no_more_workers_than_chunks(monkeypatch, caplog):
     context = _SerialContext()
     monkeypatch.setattr(multiprocessing, "get_context", lambda method=None: context)
     serial = estimate_moment((2, 1), 4, 2, samples=3 * CHUNK + 17, seed=9)
-    pooled = estimate_moment((2, 1), 4, 2, samples=3 * CHUNK + 17, seed=9, workers=64)
+    with caplog.at_level(logging.DEBUG, logger="immom.sampler"):
+        pooled = estimate_moment((2, 1), 4, 2, samples=3 * CHUNK + 17, seed=9, workers=64)
+        # one chunk needs no pool at all
+        estimate_moment((2, 1), 4, 2, samples=100, seed=9, workers=64)
     assert context.sizes == [4]
     assert pooled.estimate == serial.estimate and pooled.stderr == serial.stderr
-    # one chunk needs no pool at all
-    estimate_moment((2, 1), 4, 2, samples=100, seed=9, workers=64)
-    assert context.sizes == [4]
+    # the DEBUG line gives the workers that ran, not the workers asked for
+    logged = [re.search(r"workers=(\d+)", r.getMessage())[1]
+              for r in caplog.records if r.name == "immom.sampler"]
+    assert logged == ["4", "1"]
+
+
+def test_pool_workers_inherit_numpy_random():
+    # import immom leaves numpy.random unloaded, which keeps it out of every
+    # import; the parent loads it just before it forks a pool, so that the
+    # workers inherit it instead of each loading it on its first chunk
+    out = _run_python("""
+        import multiprocessing
+        import sys
+
+        import immom
+        from immom.sampler import CHUNK, estimate_moment
+
+        print("numpy.random" in sys.modules)
+
+        class Context:
+            def Pool(self, size):
+                print("numpy.random" in sys.modules)
+                return self
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def starmap(self, func, args):
+                return [func(*a) for a in args]
+
+        multiprocessing.get_context = lambda method=None: Context()
+        estimate_moment((2, 1), 4, 2, samples=CHUNK + 1, seed=9, workers=2)
+    """)
+    assert out.split() == ["False", "True"]
 
 
 @pytest.mark.parametrize(
