@@ -650,7 +650,7 @@ def build_parser():
     )
     p.add_argument("--max-n", type=int, default=5,
                    help="largest n to include (2..5, default 5; "
-                        "n = 5 rows take a few minutes)")
+                        "the whole table takes about 0.6 s on 2 vCPUs)")
     _add_output_flags(p)
     p.set_defaults(func=_cmd_table1)
 

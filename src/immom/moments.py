@@ -27,10 +27,11 @@ import logging
 from fractions import Fraction
 from functools import cache
 from math import comb, factorial, log2
+from time import perf_counter
 
 import numpy as np
 
-from .characters import character, character_of, character_table
+from .characters import character, character_of, character_row
 from .partitions import (
     Partition,
     as_partition,
@@ -271,27 +272,31 @@ def j_pair(lam, l, k) -> int:
     group's order times max|chi|^2 in absolute value (the sizes v sum to
     it), so G is computed in int64 when that bound is below 2^63 and in
     Python integers otherwise; the weighted sum of squares is taken in
-    Python integers.  Either way it is exact.  A DEBUG log line reports the
-    orbit table's shape and the bits of headroom.
+    Python integers.  Either way it is exact.  F is gathered from one
+    character row (characters.character_row), not the whole table.  A DEBUG
+    log line, written after the Gram, reports the orbit table's shape, the
+    bits of headroom and the call's seconds.
     """
+    t0 = perf_counter()
     lam = as_partition(lam)
     n = lam.n
     cls = _classes(n, l, k)
     w, v = marked_orbits(l, k)[1], marked_orbits(n - l, k)[1]
     if l > n - l:
         w, v = v, w
-    chi_row = character_table(n).row(lam)
+    chi_row = character_row(lam)
     chimax = int(np.abs(chi_row).max())
     contraction = factorial(max(l, n - l))
     bound = contraction * chimax * chimax
-    if log.isEnabledFor(logging.DEBUG):
-        log.debug("lam=%s n=%d l=%d k=%d orbits=%dx%d contraction=%d headroom_bits=%.1f",
-                  lam, n, l, k, *cls.shape, contraction,
-                  log2(_INT64_LIMIT) - log2(bound))
     F = chi_row[cls]
     if bound >= _INT64_LIMIT:
         F, v = F.astype(object), v.astype(object)
     G = (F * v) @ F.T
+    if log.isEnabledFor(logging.DEBUG):
+        log.debug("lam=%s n=%d l=%d k=%d orbits=%dx%d contraction=%d "
+                  "headroom_bits=%.1f seconds=%.4f", lam, n, l, k, *cls.shape,
+                  contraction, log2(_INT64_LIMIT) - log2(bound),
+                  perf_counter() - t0)
     w = w.tolist()
     return sum(wa * sum(wb * g * g for wb, g in zip(w, row))
                for wa, row in zip(w, G.tolist()))

@@ -45,7 +45,7 @@ from time import perf_counter
 
 import numpy as np
 
-from .characters import character_table
+from .characters import character_row
 from .partitions import Partition, as_partition
 from .symgroup import cycle_keyer, permutation_table
 
@@ -113,7 +113,7 @@ def _char_data(parts):
     n = sum(parts)
     perms = permutation_table(n)
     classes = cycle_keyer(n)(perms)
-    chars = character_table(n).row(parts)[classes].astype(np.complex128)
+    chars = character_row(parts)[classes].astype(np.complex128)
     return perms, chars
 
 

@@ -79,6 +79,7 @@ import logging
 from collections import Counter
 from functools import cache
 from math import comb, factorial, isqrt, log2
+from time import perf_counter
 
 import numpy as np
 
@@ -382,6 +383,7 @@ def coefficient(lam, xi) -> int:
 def _coefficient(lam, xi):
     """(A_xi(lam), stage): the stage is the first test that proves A_xi = 0
     ("contains", "lr" for r = 0, "q" for q = 0) or "evaluated"."""
+    t0 = perf_counter()
     n = lam.n
     if not _contains(lam, xi):
         return 0, "contains"
@@ -401,8 +403,9 @@ def _coefficient(lam, xi):
     value, modulus, used = _crt(
         lambda p: _residue(tab, fill, n, scale, p), bound, f"A_{xi}({lam})")
     if log.isEnabledFor(logging.DEBUG):
-        log.debug("xi=%s f=%d q=%d r=%d primes=%d headroom_bits=%.1f",
-                  xi, len(tab), q, r, used, log2(modulus) - log2(bound))
+        log.debug("xi=%s f=%d q=%d r=%d primes=%d headroom_bits=%.1f seconds=%.4f",
+                  xi, len(tab), q, r, used, log2(modulus) - log2(bound),
+                  perf_counter() - t0)
     return value, "evaluated"
 
 

@@ -17,6 +17,7 @@ from immom.characters import (
     CharacterTable,
     character,
     character_of,
+    character_row,
     character_table,
     class_size,
 )
@@ -246,6 +247,18 @@ def test_to_csv_path(tmp_path):
         rows = list(csv.reader(fh))
     assert rows[0] == ["shape", "3", "2,1", "1,1,1"]
     assert rows[2] == ["2,1", "-1", "0", "2"]
+
+
+def test_character_row_is_the_table_row():
+    for m in range(10):
+        table = character_table(m)
+        for lam in partition_list(m):
+            row = character_row(lam)
+            assert row.dtype == np.int64 and not row.flags.writeable
+            assert np.array_equal(row, table.row(lam)), lam
+            # built once per shape, whatever form the shape is given in
+            assert character_row(lam) is row
+            assert character_row(list(lam.parts)) is row
 
 
 def test_large_table_builds_quickly():

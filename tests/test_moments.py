@@ -426,8 +426,10 @@ def test_engine_logs_positive_headroom_per_xi(caplog):
         assert len(lines) >= len(coeffs)
         for line in lines:
             fields = dict(re.findall(r"(\w+)=(\S+)", line))
-            assert {"xi", "f", "q", "primes", "headroom_bits"} <= set(fields)
+            assert {"xi", "f", "q", "primes", "headroom_bits",
+                    "seconds"} <= set(fields)
             assert float(fields["headroom_bits"]) > 0
+            assert float(fields["seconds"]) >= 0
             # the least number of leading primes whose product exceeds the
             # bound, so no prime was skipped
             bound = 4**n * c * c * int(fields["q"])
@@ -590,7 +592,8 @@ def test_j_pair_logs_positive_headroom(caplog):
     for line in lines:
         fields = dict(re.findall(r"(\w+)=(\S+)", line))
         assert {"lam", "n", "l", "k", "orbits", "contraction",
-                "headroom_bits"} <= set(fields)
+                "headroom_bits", "seconds"} <= set(fields)
+        assert float(fields["seconds"]) >= 0
         assert int(fields["n"]) == 6 and int(fields["l"]) >= 1
         rows, cols = map(int, fields["orbits"].split("x"))
         assert 1 <= rows <= cols
@@ -620,6 +623,11 @@ def test_leading_coefficient_past_the_guard_at_eleven():
         assert leading_coefficient(lam, limit=11) == leading_coefficient(
             conjugate(lam), limit=11
         )
+
+
+@pytest.mark.slow
+def test_leading_coefficient_column_of_twelve():
+    assert leading_coefficient((1,) * 12, limit=12) == factorial(12) * factorial(13)
 
 
 def test_leading_coefficient_positive_even():
