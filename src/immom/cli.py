@@ -28,6 +28,8 @@ from importlib import resources
 
 from . import __version__
 from .moments import (
+    LEADING_LIMIT,
+    SECOND_MOMENT_LIMIT,
     det_moment,
     leading_coefficient,
     mean,
@@ -40,10 +42,6 @@ from .partitions import Dominance, Partition, dominates, parse_partition, partit
 from .ratfun import RationalFunction
 from .sampler import moment_scan
 from .weingarten import weingarten
-
-
-class CLIError(Exception):
-    """Configuration or domain error that should exit with status 2."""
 
 
 # ---------------------------------------------------------------------------
@@ -121,7 +119,7 @@ def _emit(args, lines, payload=None, rows=None, fields=None):
         body = json.dumps(payload, indent=2) + "\n"
     elif args.format == "csv":
         if rows is None:
-            raise CLIError("csv format is not available for this subcommand")
+            raise ValueError("csv format is not available for this subcommand")
         buf = io.StringIO()
         writer = csv.DictWriter(buf, fieldnames=fields, extrasaction="ignore")
         writer.writeheader()
@@ -139,77 +137,65 @@ def _emit(args, lines, payload=None, rows=None, fields=None):
 def _check_dimension(d, n):
     """An n x n block needs a unitary of size d >= n."""
     if d is not None and d < n:
-        raise CLIError(f"d must be at least n = {n}")
-
-
-def _evaluated_lines(f, d):
-    if d is None:
-        return []
-    q = f.evaluate(d)
-    return [f"at d = {d}: {q.numerator}/{q.denominator}"]
+        raise ValueError(f"d must be at least n = {n}")
 
 
 def _parse_d_range(text):
     """A single dimension '7' or an inclusive range '3:20'."""
+    lo, hi = text.split(":", 1) if ":" in text else (text, text)
     try:
-        if ":" in text:
-            lo_s, hi_s = text.split(":", 1)
-            lo, hi = int(lo_s), int(hi_s)
-            if hi < lo:
-                raise CLIError(f"empty dimension range {text!r}")
-            return list(range(lo, hi + 1))
-        return [int(text)]
+        lo, hi = int(lo), int(hi)
     except ValueError:
-        raise CLIError(f"cannot parse dimension range {text!r}; use D or LO:HI") from None
+        raise ValueError(f"cannot parse dimension range {text!r}; use D or LO:HI") from None
+    if hi < lo:
+        raise ValueError(f"empty dimension range {text!r}")
+    return list(range(lo, hi + 1))
 
 
 def _default_samples(args):
     if args.samples is not None:
         if args.samples < 2:
-            raise CLIError("need at least 2 samples for a standard error")
+            raise ValueError("need at least 2 samples for a standard error")
         return args.samples
     return 10**4 if args.power == 2 else 10**5
-
-
-def _regime_warnings(n, d, half_power):
-    """Flag numeric evaluation below the d >= t*n regime of the derivation.
-
-    The closed forms for 2t-th moments come from a unitary integral whose
-    derivation assumes d >= t*n; below that the returned value is the rational
-    continuation of the formula.  Returns a list of warning strings (possibly
-    empty).
-    """
-    if d is None or half_power < 2:
-        return []
-    bound = half_power * n
-    if n <= d < bound:
-        return [
-            f"d = {d} is below {bound} = {half_power}*n: the derivation of "
-            "this formula assumed d >= "
-            f"{half_power}*n, so the evaluated value is the rational "
-            "continuation of the closed form"
-        ]
-    return []
-
-
-def _apply_warnings(payload, lines, warnings):
-    if warnings:
-        payload["warnings"] = warnings
-        lines.extend(f"note: {w}" for w in warnings)
 
 
 # ---------------------------------------------------------------------------
 # formula subcommands
 
 
+def _closed_form(args, kind, label, f, lam=None, n=None, half_power=1, power=None,
+                 wall_time_s=None):
+    """Emit the closed form f of kind and its value at --d; the text names
+    the shape lam in its label, or else the block size n after the formula.
+
+    A 2t-th moment with t = half_power >= 2 comes from a unitary integral
+    whose derivation assumes d >= t*n; evaluated below that, the value is
+    the rational continuation of the formula, and a note says so.
+    """
+    payload = report(kind, lam=lam, n=n, value=f, d=args.d, wall_time_s=wall_time_s)
+    lines = [f"{label} = {f.to_display()}" + ("" if lam is not None else f"  (n = {n})")]
+    if args.d is not None:
+        lines.append(f"at d = {args.d}: {payload['value']}")
+    if wall_time_s is not None:
+        lines.append(f"computed in {wall_time_s:.3f} s")
+    if power is not None:
+        payload["power"] = power
+    bound = half_power * payload["n"]
+    if half_power >= 2 and args.d is not None and args.d < bound:
+        warning = (f"d = {args.d} is below {bound} = {half_power}*n: the derivation of "
+                   f"this formula assumed d >= {half_power}*n, so the evaluated value is "
+                   "the rational continuation of the closed form")
+        payload["warnings"] = [warning]
+        lines.append(f"note: {warning}")
+    _emit(args, lines, payload)
+    return 0
+
+
 def _cmd_mean(args):
     lam = parse_partition(args.partition)
     _check_dimension(args.d, lam.n)
-    f = mean(lam)
-    payload = report("mean", lam=lam, value=f, d=args.d)
-    lines = [f"E|Imm^({lam}) M|^2 = {f.to_display()}"] + _evaluated_lines(f, args.d)
-    _emit(args, lines, payload)
-    return 0
+    return _closed_form(args, "mean", f"E|Imm^({lam}) M|^2", mean(lam), lam=lam)
 
 
 def _cmd_second_moment(args):
@@ -217,13 +203,8 @@ def _cmd_second_moment(args):
     _check_dimension(args.d, lam.n)
     t0 = time.perf_counter()
     f = second_moment(lam, limit=args.limit_override)
-    wall_time_s = time.perf_counter() - t0
-    payload = report("second_moment", lam=lam, value=f, d=args.d, wall_time_s=wall_time_s)
-    lines = [f"E|Imm^({lam}) M|^4 = {f.to_display()}"] + _evaluated_lines(f, args.d)
-    lines.append(f"computed in {wall_time_s:.3f} s")
-    _apply_warnings(payload, lines, _regime_warnings(lam.n, args.d, 2))
-    _emit(args, lines, payload)
-    return 0
+    return _closed_form(args, "second_moment", f"E|Imm^({lam}) M|^4", f, lam=lam,
+                        half_power=2, wall_time_s=time.perf_counter() - t0)
 
 
 def _cmd_leading(args):
@@ -240,37 +221,22 @@ def _cmd_leading(args):
 
 def _cmd_det_moment(args):
     if args.power < 0 or args.power % 2:
-        raise CLIError("--power must be a nonnegative even integer (moments of |det M|^(2t))")
+        raise ValueError("--power must be a nonnegative even integer (moments of |det M|^(2t))")
     _check_dimension(args.d, args.n)
-    f = det_moment(args.n, args.power // 2)
-    payload = report("determinant_moment", n=args.n, value=f, d=args.d)
-    payload["power"] = args.power
-    lines = [f"E|det M|^{args.power} = {f.to_display()}  (n = {args.n})"]
-    lines += _evaluated_lines(f, args.d)
-    _apply_warnings(payload, lines, _regime_warnings(args.n, args.d, args.power // 2))
-    _emit(args, lines, payload)
-    return 0
+    return _closed_form(args, "determinant_moment", f"E|det M|^{args.power}",
+                        det_moment(args.n, args.power // 2), n=args.n,
+                        half_power=args.power // 2, power=args.power)
 
 
 def _cmd_perm_conjecture(args):
     _check_dimension(args.d, args.n)
-    f = perm_fourth_conjecture(args.n)
-    payload = report("permanent_fourth_conjecture", n=args.n, value=f, d=args.d)
-    payload["power"] = 4
-    lines = [f"conjectured E|perm M|^4 = {f.to_display()}  (n = {args.n})"]
-    lines += _evaluated_lines(f, args.d)
-    _apply_warnings(payload, lines, _regime_warnings(args.n, args.d, 2))
-    _emit(args, lines, payload)
-    return 0
+    return _closed_form(args, "permanent_fourth_conjecture", "conjectured E|perm M|^4",
+                        perm_fourth_conjecture(args.n), n=args.n, half_power=2, power=4)
 
 
 def _cmd_wg(args):
     rho = parse_partition(args.cycle_type)
-    f = weingarten(rho)
-    payload = report("weingarten", lam=rho, value=f, d=args.d)
-    lines = [f"W({rho}) = {f.to_display()}"] + _evaluated_lines(f, args.d)
-    _emit(args, lines, payload)
-    return 0
+    return _closed_form(args, "weingarten", f"W({rho})", weingarten(rho), lam=rho)
 
 
 # ---------------------------------------------------------------------------
@@ -433,7 +399,7 @@ def _cmd_verify(args):
 
 def _cmd_table1(args):
     if not 2 <= args.max_n <= 5:
-        raise CLIError("table1 covers 2 <= n <= 5")
+        raise ValueError("table1 covers 2 <= n <= 5")
     table1, _ = load_golden()
     rows, lines, all_ok = [], [], True
     for row in table1:
@@ -483,7 +449,7 @@ def _cmd_table1(args):
 
 def _cmd_table2(args):
     if not 1 <= args.max_n <= 9:
-        raise CLIError("table2 covers 1 <= n <= 9")
+        raise ValueError("table2 covers 1 <= n <= 9")
     _, table2 = load_golden()
     rows, lines, all_ok = [], [], True
     for lam, expected in table2:
@@ -519,9 +485,18 @@ def _add_output_flags(p):
                    help="write output to FILE instead of stdout")
 
 
+def _add_d_flag(p, help="evaluate at this dimension (default: symbolic)", grid=False):
+    """--d as one dimension, or with grid as a required dimension or range."""
+    if grid:
+        p.add_argument("--d", required=True, metavar="D|LO:HI",
+                       help="dimension or inclusive range, e.g. 7 or 3:20")
+    else:
+        p.add_argument("--d", type=int, default=None, help=help)
+
+
 def _add_workers_flag(p):
     p.add_argument(
-        "--workers", type=int, default=None, metavar="W",
+        "--workers", type=int, default=os.cpu_count() or 1, metavar="W",
         help="worker processes (default: available parallelism)",
     )
 
@@ -529,8 +504,8 @@ def _add_workers_flag(p):
 def _add_limit_flag(p):
     p.add_argument(
         "--limit-override", type=int, default=None, metavar="N",
-        help="raise the built-in size cap (fourth moments stop at n = 5, "
-             "leading coefficients at n = 10, unless overridden)",
+        help=f"raise the built-in size cap (fourth moments stop at n = {SECOND_MOMENT_LIMIT}, "
+             f"leading coefficients at n = {LEADING_LIMIT}, unless overridden)",
     )
 
 
@@ -558,16 +533,14 @@ def build_parser():
 
     p = sub.add_parser("mean", help="exact mean of |Imm^lambda M|^2")
     p.add_argument("partition", help="partition, e.g. 2,1 or 2,1^3")
-    p.add_argument("--d", type=int, default=None,
-                   help="evaluate at this dimension (default: symbolic)")
+    _add_d_flag(p)
     _add_output_flags(p)
     p.set_defaults(func=_cmd_mean)
 
     p = sub.add_parser("second-moment",
                        help="exact mean of |Imm^lambda M|^4")
     p.add_argument("partition")
-    p.add_argument("--d", type=int, default=None,
-                   help="evaluate at this dimension (default: symbolic)")
+    _add_d_flag(p)
     _add_limit_flag(p)
     _add_output_flags(p)
     p.set_defaults(func=_cmd_second_moment)
@@ -586,8 +559,7 @@ def build_parser():
     p.add_argument("n", type=int)
     p.add_argument("--power", type=int, default=4,
                    help="even absolute-moment power 2t (default 4)")
-    p.add_argument("--d", type=int, default=None,
-                   help="evaluate at this dimension (default: symbolic)")
+    _add_d_flag(p)
     _add_output_flags(p)
     p.set_defaults(func=_cmd_det_moment)
 
@@ -596,16 +568,14 @@ def build_parser():
         help="conjectured closed form for the fourth moment of |perm M|",
     )
     p.add_argument("n", type=int)
-    p.add_argument("--d", type=int, default=None,
-                   help="evaluate at this dimension (default: symbolic)")
+    _add_d_flag(p)
     _add_output_flags(p)
     p.set_defaults(func=_cmd_perm_conjecture)
 
     p = sub.add_parser("wg",
                        help="Weingarten function of a cycle type, rational in d")
     p.add_argument("cycle_type", help="cycle type as a partition, e.g. 2,1")
-    p.add_argument("--d", type=int, default=None,
-                   help="evaluate at this dimension (default: symbolic)")
+    _add_d_flag(p)
     _add_output_flags(p)
     p.set_defaults(func=_cmd_wg)
 
@@ -614,16 +584,14 @@ def build_parser():
         help="check that dominance-higher partitions have smaller means",
     )
     p.add_argument("n", type=int)
-    p.add_argument("--d", type=int, default=None,
-                   help="single dimension to check (default: n..n+10)")
+    _add_d_flag(p, help="single dimension to check (default: n..n+10)")
     _add_output_flags(p)
     p.set_defaults(func=_cmd_dominance)
 
     p = sub.add_parser("sample",
                        help="Monte Carlo moment estimate over a d grid")
     p.add_argument("partition")
-    p.add_argument("--d", required=True, metavar="D|LO:HI",
-                   help="dimension or inclusive range, e.g. 7 or 3:20")
+    _add_d_flag(p, grid=True)
     _add_sampling_flags(p)
     _add_workers_flag(p)
     _add_output_flags(p)
@@ -634,8 +602,7 @@ def build_parser():
         help="exact value vs Monte Carlo estimate, side by side with z-scores",
     )
     p.add_argument("partition")
-    p.add_argument("--d", required=True, metavar="D|LO:HI",
-                   help="dimension or inclusive range, e.g. 7 or 3:20")
+    _add_d_flag(p, grid=True)
     _add_sampling_flags(p)
     p.add_argument("--threshold", type=float, default=5.0,
                    help="per-point |z| acceptance threshold (default 5)")
@@ -668,16 +635,12 @@ def build_parser():
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    if getattr(args, "workers", None) is None and hasattr(args, "workers"):
-        args.workers = os.cpu_count() or 1
-    if getattr(args, "workers", 1) < 1:
-        print("error: --workers must be at least 1", file=sys.stderr)
-        return 2
+    args = build_parser().parse_args(argv)
     try:
+        if getattr(args, "workers", 1) < 1:
+            raise ValueError("--workers must be at least 1")
         return args.func(args)
-    except (CLIError, ValueError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

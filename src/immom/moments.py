@@ -239,7 +239,7 @@ def _classes(n, l, k):
         combined = np.empty((len(x_side), len(y_side), n), dtype=np.uint8)
         combined[:, :, :l] = x_side[:, None, :]
         combined[:, :, l:] = y_side[None, :, :]
-        cls = cycle_keyer(n)(th[combined].reshape(-1, n))
+        cls = cycle_keyer(n)(th[combined].reshape(len(x_side) * len(y_side), n))
         cls = cls.reshape(len(x_side), len(y_side))
         if l > n - l:
             cls = np.ascontiguousarray(cls.T)

@@ -118,12 +118,6 @@ class LinearFactors:
     def degree(self):
         return sum(self.factors.values())
 
-    def expand(self):
-        p = (self.scalar,)
-        for off, mult in self.factors.items():
-            p = _poly_mul(p, _poly_pow_linear(off, mult))
-        return p
-
     def evaluate(self, x):
         acc = Fraction(self.scalar)
         for off, mult in self.factors.items():

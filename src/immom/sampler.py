@@ -27,12 +27,15 @@ the chunks; per-chunk running statistics are merged in chunk order.
 Workers are forked where the platform can fork and spawned elsewhere.
 
 Immanants are evaluated from their definition as character-weighted
-permutation sums, with determinant and permanent fast paths (numpy's det,
-and the +-1 sign-sum formula for the permanent).  Both sums run over
-bounded blocks, so the memory a worker holds does not grow with the chunk
-size for any shape: the permanent over blocks of sign vectors, the general
-immanant over blocks of samples holding about _TERM_BLOCK complex terms
-(1 MiB) each.
+permutation sums over the permutations whose character is nonzero, with
+determinant and permanent fast paths (numpy's det, and the +-1 sign-sum
+formula for the permanent).  Both sums run over bounded blocks, so the
+memory a worker holds does not grow with the chunk size for any shape: the
+permanent over blocks of sign vectors, the general immanant over blocks of
+samples holding about _TERM_BLOCK complex terms (1 MiB) each.  Each sum is
+a multiply followed by a numpy reduction along the term axis, whose order
+is fixed by the number of terms alone, so no value depends on the block
+split or on the BLAS thread count.
 """
 
 from __future__ import annotations
@@ -110,26 +113,25 @@ def haar_unitary(d, rng):
 
 @cache
 def _char_data(parts):
+    """The permutations of S_n whose character chi^parts is nonzero, in
+    lexicographic order, and those characters as float64."""
     n = sum(parts)
     perms = permutation_table(n)
-    classes = cycle_keyer(n)(perms)
-    chars = character_row(parts)[classes].astype(np.complex128)
-    return perms, chars
+    chars = character_row(parts)[cycle_keyer(n)(perms)]
+    keep = chars != 0
+    return perms[keep], chars[keep].astype(np.float64)
 
 
 def immanant_batch(lam, M):
     """Immanants of a stack (B, n, n) of matrices, as complex values.
 
-    The general path forms the (samples, n!) products of matched entries
-    over consecutive blocks of samples of about _TERM_BLOCK complex terms
-    each (544 samples at n = 5, 80 at n = 6, 16 at every n >= 7), so it
-    holds two arrays of about 1 MiB whatever B is.  A block is a multiple
-    of 16 samples, at least 16, and a lone last sample joins the block
-    before it.  The BLAS matrix-vector product sums a row that falls in a
-    full group of rows in one order and a row of the remainder in another,
-    and numpy sends a one-row product to yet another kernel; with these
-    rules, on one BLAS thread, every value is bit for bit that of one
-    unblocked product.
+    The general path forms the (samples, terms) products of matched entries,
+    one term per permutation with a nonzero character, over consecutive
+    blocks of samples of about _TERM_BLOCK complex terms each, so it holds
+    two arrays of about 1 MiB whatever B is.  Each sample's terms are
+    weighted by the characters and summed along the term axis in an order
+    fixed by the number of terms, so every value is bit for bit the same
+    whatever the block split and the BLAS thread count.
     """
     lam = as_partition(lam)
     n = lam.n
@@ -140,19 +142,22 @@ def immanant_batch(lam, M):
     if lam.parts == (n,):
         return permanent_batch(M)
     perms, chars = _char_data(lam.parts)
-    block = max(16, _TERM_BLOCK // len(perms) // 16 * 16)
+    block = max(1, _TERM_BLOCK // len(perms))
     out = np.empty(len(M), dtype=np.complex128)
-    start = 0
-    for stop in [*range(block, len(M) - 1, block), len(M)]:
-        m = M[start:stop]
-        # row by row, so no (block, n!, n) gather is formed; the product
+    for start in range(0, len(M), block):
+        m = M[start:start + block]
+        # row by row, so no (block, terms, n) gather is formed; the product
         # order is that of prod(axis=2) over the gather, so the values are
         # the same
         terms = m[:, 0, perms[:, 0]]
         for i in range(1, n):
             terms *= m[:, i, perms[:, i]]
-        out[start:stop] = terms @ chars
-        start = stop
+        terms *= chars
+        # the gather lays the terms out term by term, so sum(axis=1) would
+        # add them in sequence across a block but pairwise for a lone
+        # sample; reduceat takes every sample's first term plus the pairwise
+        # sum of the rest, whatever the block's size and layout
+        out[start:start + block] = np.add.reduceat(terms, [0], axis=1)[:, 0]
     return out
 
 
@@ -176,7 +181,8 @@ def permanent_batch(M):
     for start in range(0, s, _SIGN_BLOCK):
         bits = np.arange(start, min(start + _SIGN_BLOCK, s))[:, None] >> np.arange(n - 1) & 1
         delta = np.concatenate([np.ones((len(bits), 1)), 1.0 - 2.0 * bits], axis=1)
-        part = np.einsum("sk,bkj->bsj", delta, M).prod(axis=2) @ delta.prod(axis=1)
+        products = np.einsum("sk,bkj->bsj", delta, M).prod(axis=2)
+        part = (products * delta.prod(axis=1)).sum(axis=1)
         total = part if start == 0 else total + part
     return total / s
 

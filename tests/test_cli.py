@@ -16,7 +16,13 @@ import pytest
 
 from immom import cli
 from immom.cli import main
-from immom.moments import leading_coefficient, mean, second_moment
+from immom.moments import (
+    LEADING_LIMIT,
+    SECOND_MOMENT_LIMIT,
+    leading_coefficient,
+    mean,
+    second_moment,
+)
 from immom.ratfun import RationalFunction as R
 
 
@@ -394,6 +400,10 @@ def test_backwards_range(capsys):
         capsys, "sample", "1", "--d", "5:3", "--samples", "100", "--workers", "1"
     )
     assert code == 2
+    assert err == "error: empty dimension range '5:3'\n"
+    code, out, err = run(capsys, "sample", "1", "--d", "7:", "--samples", "100")
+    assert code == 2
+    assert err == "error: cannot parse dimension range '7:'; use D or LO:HI\n"
 
 
 def test_csv_unavailable_for_formula_output(capsys):
@@ -406,6 +416,14 @@ def test_limit_guard_without_override(capsys):
     code, out, err = run(capsys, "second-moment", "1^6")
     assert code == 2
     assert "limit" in err.lower()
+
+
+def test_limit_override_help_names_the_guards(capsys):
+    with pytest.raises(SystemExit):
+        main(["leading", "--help"])
+    help_text = " ".join(capsys.readouterr().out.split())
+    assert (f"fourth moments stop at n = {SECOND_MOMENT_LIMIT}, leading coefficients "
+            f"at n = {LEADING_LIMIT}, unless overridden") in help_text
 
 
 def test_workers_validation(capsys):

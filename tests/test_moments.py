@@ -496,10 +496,12 @@ def test_representatives_cover_every_orbit_two_symbols():
 
 def test_j_pair_base_case():
     assert j_pair((1,), 0, 0) == 1
+    # the empty shape: one orbit pair, the empty permutation, chi = 1
+    assert j_pair((), 0, 0) == 1
 
 
 def test_j_pair_matches_direct_membership_route():
-    for n in range(1, 5):
+    for n in range(5):
         for lam in partition_list(n):
             for l in range(n + 1):
                 for k in range(0, min(l, n - l) + 1):
@@ -532,7 +534,7 @@ def _j_pair_full_gram(lam, l, k):
 
 
 def test_j_pair_matches_the_full_gram_over_every_pair():
-    for n in range(1, 7):
+    for n in range(7):
         for lam in partition_list(n):
             for l in range(n + 1):
                 for k in range(min(l, n - l) + 1):

@@ -30,6 +30,7 @@ from immom.moments import det_moment, mean, second_moment
 from immom.partitions import Partition, partition_list
 from immom.sampler import (
     CHUNK,
+    _TERM_BLOCK,
     MomentEstimate,
     _char_data,
     _orthonormalize,
@@ -264,19 +265,30 @@ def test_general_immanant_matches_naive_sum(rng):
 
 
 def test_character_data_is_exact_per_permutation():
-    # the permutation rows and characters behind the general immanant path
-    # equal the scalar enumeration and cycle type, with no tolerance
+    # the general immanant path keeps the permutations whose character is
+    # nonzero, in the scalar enumeration's order, with those characters;
+    # every permutation it drops has character 0.  No tolerance.
     for n in range(2, 6):
         perms = list(all_permutations(n))
         for lam in partition_list(n):
             rows, chars = _char_data(lam.parts)
-            assert np.array_equal(rows, [p.img for p in perms])
-            assert np.array_equal(chars, [character(lam, p.cycle_type()) for p in perms])
+            chi = [character(lam, p.cycle_type()) for p in perms]
+            assert np.array_equal(rows, [p.img for p, c in zip(perms, chi) if c])
+            assert chars.dtype == np.float64
+            assert np.array_equal(chars, [c for c in chi if c])
+
+
+def _first_plus_sum(terms):
+    """Each row's first entry plus numpy's pairwise sum of the rest."""
+    return terms[:, 0] + terms[:, 1:].sum(axis=1)
 
 
 def test_general_immanant_is_the_gather_product_bit_for_bit():
-    # the gather-and-prod form the row-by-row product replaced, kept as the
-    # reference; (n) and (1^n) take the permanent and determinant paths
+    # the gather-and-prod form the row-by-row product replaced, weighted by
+    # the characters and summed along the term axis, kept as the reference;
+    # each sample's terms are made contiguous, and its first term is added
+    # to the pairwise sum of the rest.  (n) and (1^n) take the permanent and
+    # determinant paths
     rng = np.random.default_rng(17)
     for n in range(1, 7):
         M = rng.standard_normal((9, n, n)) + 1j * rng.standard_normal((9, n, n))
@@ -284,7 +296,8 @@ def test_general_immanant_is_the_gather_product_bit_for_bit():
             if lam.parts in ((n,), (1,) * n):
                 continue
             perms, chars = _char_data(lam.parts)
-            want = M[:, np.arange(n)[None, :], perms].prod(axis=2) @ chars
+            products = M[:, np.arange(n)[None, :], perms].prod(axis=2)
+            want = _first_plus_sum(np.ascontiguousarray(products) * chars)
             assert np.array_equal(immanant_batch(lam, M), want), lam
 
 
@@ -301,50 +314,55 @@ def _run_python(code, **env):
 
 
 def test_sample_blocks_keep_the_unblocked_values_bit_for_bit():
-    # the general path runs over blocks of 544 samples at n = 5, 80 at
-    # n = 6 and 16 at n = 7; each count below puts a block edge, or none,
-    # where a different one could change the BLAS row sums.  The reference
-    # takes one matrix-vector product over every sample, and its gather is
-    # formed 256 samples at a time only to bound its memory.  One BLAS
-    # thread, since a threaded product splits the rows by their number.
-    # At one sample numpy reduces the contiguous gather with its scalar
-    # complex multiply, so that count is held to rounding.
-    out = _run_python("""
+    # the general path runs over blocks of _TERM_BLOCK // terms samples;
+    # each count below puts a block edge, or none, on either side of a
+    # sample, and at count 1 the lone sample is its own block.  The
+    # reference weights and sums the products of every sample at once, and
+    # its gather is formed 256 samples at a time only to bound its memory;
+    # each count must give the first values of the reference.
+    rng = np.random.default_rng(19)
+    for n in (5, 6, 7):
+        shapes = [lam for lam in partition_list(n) if lam.parts not in ((n,), (1,) * n)]
+        if n == 7:
+            shapes = [shapes[len(shapes) // 2]]
+        M = rng.standard_normal((4096, n, n)) + 1j * rng.standard_normal((4096, n, n))
+        for lam in shapes:
+            perms, chars = _char_data(lam.parts)
+            block = _TERM_BLOCK // len(perms)
+            counts = {1, 2, 17, block - 1, block, block + 1, 2 * block + 1}
+            if n < 7:
+                counts |= {1001, 4096}
+            top = max(counts)
+            products = np.concatenate([
+                M[s:min(s + 256, top), np.arange(n)[None, :], perms].prod(axis=2)
+                for s in range(0, top, 256)])
+            want = _first_plus_sum(np.ascontiguousarray(products) * chars)
+            for count in sorted(counts):
+                got = immanant_batch(lam, M[:count])
+                assert np.array_equal(got, want[:count]), (lam, count)
+
+
+def test_values_do_not_depend_on_the_blas_thread_count():
+    # every sum is a numpy reduction along the term axis, whose order does
+    # not depend on the machine; a BLAS product splits its rows by the
+    # thread count, which changed the last bits at counts such as 17 and 1001
+    code = """
+        import hashlib
         import numpy as np
-        from immom.partitions import partition_list
-        from immom.sampler import _char_data, immanant_batch
+        from immom.sampler import immanant_batch
 
-        def gather_product(M, perms, chars):
-            n = M.shape[-1]
-            terms = np.concatenate([
-                M[s:s + 256, np.arange(n)[None, :], perms].prod(axis=2)
-                for s in range(0, len(M), 256)])
-            return terms @ chars
-
-        rng = np.random.default_rng(19)
-        for n, counts in ((5, (1, 15, 16, 17, 543, 544, 545, 1001, 4096)),
-                          (6, (1, 15, 16, 17, 79, 80, 81, 1001, 4096)),
-                          (7, (1, 15, 16, 17, 18, 37))):
-            shapes = [lam for lam in partition_list(n)
-                      if lam.parts not in ((n,), (1,) * n)]
-            if n == 7:
-                shapes = [shapes[len(shapes) // 2]]
-            shape = (max(counts), n, n)
-            M = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-            for lam in shapes:
-                perms, chars = _char_data(lam.parts)
-                for count in counts:
-                    got = immanant_batch(lam, M[:count])
-                    want = gather_product(M[:count], perms, chars)
-                    if count == 1:
-                        ok = np.allclose(got, want, rtol=1e-12, atol=0)
-                    else:
-                        ok = np.array_equal(got, want)
-                    print(lam.parts, count, ok)
-    """, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
-    rows = out.split("\n")[:-1]
-    assert len(rows) == 5 * 9 + 9 * 9 + 6
-    assert [row for row in rows if not row.endswith("True")] == []
+        rng = np.random.default_rng(23)
+        for lam in ((3, 2), (3, 2, 1), (4, 2, 1), (5,), (1,) * 5):
+            n = sum(lam)
+            M = rng.standard_normal((4096, n, n)) + 1j * rng.standard_normal((4096, n, n))
+            for count in (1, 17, 1001, 4096):
+                values = immanant_batch(lam, M[:count])
+                print(lam, count, hashlib.sha256(values.tobytes()).hexdigest())
+    """
+    one, two = (_run_python(code, OPENBLAS_NUM_THREADS=k, OMP_NUM_THREADS=k).splitlines()
+                for k in ("1", "2"))
+    assert len(one) == 5 * 4
+    assert [a for a, b in zip(one, two) if a != b] == []
 
 
 def test_immanant_single_matrix_wrapper(rng):
