@@ -171,18 +171,33 @@ def permanent_batch(M):
     """Permanents of a stack (B, n, n) via the half-size +-1 sign sum.
 
     The 2^(n-1) sign vectors (delta_1 fixed at +1) are summed in blocks of
-    at most _SIGN_BLOCK, so a call holds a (B, _SIGN_BLOCK, n) array rather
-    than (B, 2^(n-1), n).
+    at most _SIGN_BLOCK, so a call holds (B, _SIGN_BLOCK) arrays rather than
+    a (B, 2^(n-1), n) one.  Within a block the low sign bits vary: each
+    column's signed sums sum_k delta_k M[k, j] are built by doubling, adding
+    the rows in order with either sign, and the columns are multiplied in as
+    contiguous (B, signs) blocks, so every value is bit for bit the same
+    whatever the stack's size and memory layout.
     """
     n = M.shape[-1]
     if n == 1:
         return M[:, 0, 0]
     s = 1 << (n - 1)
-    for start in range(0, s, _SIGN_BLOCK):
-        bits = np.arange(start, min(start + _SIGN_BLOCK, s))[:, None] >> np.arange(n - 1) & 1
-        delta = np.concatenate([np.ones((len(bits), 1)), 1.0 - 2.0 * bits], axis=1)
-        products = np.einsum("sk,bkj->bsj", delta, M).prod(axis=2)
-        part = (products * delta.prod(axis=1)).sum(axis=1)
+    width = min(s, _SIGN_BLOCK)
+    inner = width.bit_length() - 1  # delta_2 .. delta_(inner+1) vary in a block
+    parity = np.ones(1)
+    for _ in range(inner):
+        parity = np.concatenate([parity, -parity])
+    for start in range(0, s, width):
+        high = [start >> k & 1 for k in range(inner, n - 1)]
+        for j in range(n):
+            column = M[:, 0, j, None]
+            for k in range(1, inner + 1):
+                row = M[:, k, j, None]
+                column = np.concatenate([column + row, column - row], axis=1)
+            for k, minus in enumerate(high, inner + 1):
+                column = column - M[:, k, j, None] if minus else column + M[:, k, j, None]
+            products = column if j == 0 else products * column
+        part = (products * (parity if sum(high) % 2 == 0 else -parity)).sum(axis=1)
         total = part if start == 0 else total + part
     return total / s
 

@@ -47,7 +47,11 @@ distance c_T(k+1) - c_T(k) of letters k, k+1 in the tableau T,
 
 and there is no partner tableau when |r| = 1 (the action is then +-1).
 Every denominator is a nonzero r or r^2 - 1 with |r| < 2n, so no entry
-vanishes modulo such a prime.  Exactness rests on a bound proven before any
+vanishes modulo such a prime.  A letter updates each row of an int64
+block in place to diag x[T] + off x[s_k T], a sum of two products of
+residues and so below 2 p^2 < 2**51, and reduces it as x - (x // p) p:
+exact, and cheaper than %, since numpy divides by a scalar with a
+precomputed multiplier.  Exactness of the result rests on a bound proven before any
 arithmetic: in the orthogonal form Q and P are orthogonal projections, so
 tr(QPQP) = ||QPQ||_F^2 <= rank Q = q, and 0 <= A_xi <= 4^n c^2 q.  The
 leading primes are taken until their product exceeds that bound; when they
@@ -65,10 +69,16 @@ basis of the range of Q'; so q is the number of corners (checked against
 fixed_rank).  Cubes have disjoint supports, so G = C^T D C is diagonal, with
 g_T = d_T times 4 per r_i = 1 and 2 (r_i + 1)/r_i per other pair: a unit
 modulo every prime, and tr((G^-1 H)^2) = sum_ij H_ij H_ji / (g_i g_j).
+Column T of C therefore has at most 2^n nonzero entries, one per vertex of
+its cube, each a product of per-pair factors (1 + 1/r_i where the tableau
+stays, the partner's coefficient where it moves).  They are built in n
+vectorised steps and scattered into C, and G is summed from the same
+entries, with no dense f_xi x q product.
 
 The tables of each xi (row words, contents, partners and axial distances
-per adjacent transposition) are built with numpy and cached; nothing that
-depends on lam is cached.  References: Okounkov and Vershik, Selecta Math.
+per adjacent transposition, and the exponents of the invariant form) are
+built with numpy and cached; nothing that depends on lam or on the prime is
+cached.  References: Okounkov and Vershik, Selecta Math.
 2 (1996) 581-605, for the Young bases; Collins and Sniady, CMP 264 (2006)
 773-795, for the Weingarten sum this replaces.
 """
@@ -114,6 +124,8 @@ class Tableaux:
     words[T, k] is the row of letter k (0-based), contents[T, k] its
     content col - row; partner[k, T] is the index of s_k T, or T itself
     when s_k T is not standard, and axial[k, T] = c_T(k+1) - c_T(k).
+    exponents[T, a] is the number of letters i < j with c_T(i) - c_T(j) = a
+    (zero for a < 2), the exponent of alpha(a) in the invariant form.
     """
 
     def __init__(self, shape):
@@ -141,10 +153,16 @@ class Tableaux:
                 powers[k] - powers[k + 1])
             partner[k] = np.where(
                 swappable, np.searchsorted(codes, codes + step), own)
+        i, j = np.triu_indices(m, 1)
+        drop = contents[:, i] - contents[:, j]
+        exponents = np.zeros((size, m), dtype=np.min_scalar_type(comb(m, 2)))
+        for a in range(2, m):
+            exponents[:, a] = (drop == a).sum(axis=1)
         self.words = words
         self.contents = contents
         self.partner = partner
         self.axial = axial
+        self.exponents = exponents
 
     def __len__(self):
         return len(self.words)
@@ -163,25 +181,24 @@ class Tableaux:
         """The diagonal invariant form modulo p.
 
         d_T is the product of alpha(a) = 1 - 1/a^2 over the letters i < j
-        with a = c_T(j) - c_T(i) <= -2.  Swapping k, k+1 turns the pair's
-        a = r into -r and permutes the other pairs, so d_(sT) alpha_T =
-        d_T alpha_(sT) on every edge and rho(g)^T D rho(g) = D.
+        with c_T(i) - c_T(j) = a >= 2, that is prod_a alpha(a)^exponents[T, a].
+        Swapping k, k+1 turns the pair's c_T(k+1) - c_T(k) = r into -r and
+        permutes the other pairs, so d_(sT) alpha_T = d_T alpha_(sT) on every
+        edge and rho(g)^T D rho(g) = D.
         """
         m = self.shape.n
-        i, j = np.triu_indices(m, 1)
-        a = self.contents[:, j] - self.contents[:, i]
         _, alpha = _fractions(m, p)
-        factors = np.where(a <= -2, alpha[a + m], 1)
-        while factors.shape[1] > 1:
-            if factors.shape[1] % 2:
-                factors = np.concatenate(
-                    [factors, np.ones((len(self), 1), dtype=np.int64)], axis=1)
-            factors = factors[:, 0::2] * factors[:, 1::2] % p
-        return factors[:, 0] if factors.shape[1] else np.ones(len(self), dtype=np.int64)
+        d = np.ones(len(self), dtype=np.int64)
+        for a in range(2, m):
+            count = self.exponents[:, a]
+            powers = [pow(int(alpha[a + m]), e, p) for e in range(int(count.max()) + 1)]
+            d = d * np.array(powers, dtype=np.int64)[count] % p
+        return d
 
     def action(self, p):
         """Per adjacent transposition s_k, the coefficients (diag, off) of
-        the row update new[T] = diag[T] x[T] + off[T] x[s_k T] modulo p."""
+        the row update new[T] = diag[T] x[T] + off[T] x[s_k T] modulo p, as
+        (m - 1, f, 1) arrays."""
         m = self.shape.n
         r = self.axial
         inverse, alpha = _fractions(m, p)
@@ -189,7 +206,8 @@ class Tableaux:
         # distance is -r: 1 when r < 0, alpha(r) when r > 0
         off = np.where(r < 0, 1, alpha[r + m])
         off[self.partner == np.arange(len(self))] = 0
-        return inverse[r + m], off
+        # a trailing axis, so each letter scales the rows of an f x q block
+        return inverse[r + m][:, :, None], off[:, :, None]
 
 
 @cache
@@ -199,25 +217,25 @@ def tableaux(shape) -> Tableaux:
 
 
 def _row_words(parts):
-    """Row words of all standard tableaux of the shape, one letter at a time."""
-    cap = np.array(parts, dtype=np.int64)
-    words = np.zeros((1, 0), dtype=np.uint8)
-    counts = np.zeros((1, len(parts)), dtype=np.int64)
-    for _ in range(sum(parts)):
-        grown_words, grown_counts = [], []
-        for r in range(len(parts)):
-            ok = counts[:, r] < cap[r]
-            if r:
-                ok &= counts[:, r - 1] > counts[:, r]
-            w = np.concatenate(
-                [words[ok], np.full((int(ok.sum()), 1), r, dtype=np.uint8)], axis=1)
-            c = counts[ok]
-            c[:, r] += 1
-            grown_words.append(w)
-            grown_counts.append(c)
-        words = np.concatenate(grown_words)
-        counts = np.concatenate(grown_counts)
-    return words
+    """Row words of all standard tableaux of the shape, unsorted: those of
+    the shape less each corner box, each followed by that corner's row."""
+    memo = {}
+
+    def words(shape):
+        if shape not in memo:
+            blocks = [np.zeros((1, 0), dtype=np.uint8)] if not shape else []
+            for r, part in enumerate(shape):
+                if r + 1 < len(shape) and shape[r + 1] == part:
+                    continue
+                # a last box alone in its row leaves the shape's first r rows
+                smaller = words(shape[:r] + (part - 1,) + shape[r + 1:] if part > 1
+                                else shape[:r])
+                blocks.append(np.concatenate(
+                    [smaller, np.full((len(smaller), 1), r, dtype=np.uint8)], axis=1))
+            memo[shape] = np.concatenate(blocks)
+        return memo[shape]
+
+    return words(tuple(parts))
 
 
 def _fractions(m, p):
@@ -233,14 +251,25 @@ def _fractions(m, p):
 
 
 def _apply(word, x, action, partner, p):
-    """rho(s_(word[0]) s_(word[1]) ...) x modulo p: the last letter acts first."""
+    """rho(s_(word[0]) s_(word[1]) ...) x modulo p: the last letter acts first.
+
+    x is a block of residues and is left unchanged.  Each letter updates a
+    copy of it in place through one scratch block: every new entry is
+    diag x[T] + off x[s_k T], a sum of two products of residues below
+    2 p^2 < 2**51, so the int64 arithmetic is exact, and it is reduced as
+    x - (x // p) p, since floor division by a scalar is cheaper than %.
+    """
     diag, off = action
+    x = np.array(x, dtype=np.int64)
+    y = np.empty_like(x)
     for k in reversed(word):
-        y = x[partner[k]]
-        y *= off[k][:, None]
-        x = x * diag[k][:, None]
+        np.take(x, partner[k], axis=0, out=y)
+        y *= off[k]
+        x *= diag[k]
         x += y
-        x %= p
+        np.floor_divide(x, p, out=y)
+        y *= p
+        x -= y
     return x
 
 
@@ -320,12 +349,38 @@ def corners(tab, n) -> np.ndarray:
     return np.flatnonzero((tab.axial[0:2 * n:2] > 0).all(axis=0))
 
 
+def _corner_entries(tab, n, action, p):
+    """The nonzero entries (rows, cols, vals) of C = prod_i (1 + rho(s_(2i)))
+    applied to the unit vectors of the corners, modulo p.
+
+    Column j starts at its corner T_j; each s_(2i) acts on its own letter
+    pair, whose axial distance r_i > 0 the other s_(2k) leave alone, so
+    (1 + rho(s_(2i))) keeps every entry with factor 1 + 1/r_i and, when the
+    partner tableau exists, adds one there with that partner's off.  The
+    cubes of the corners are disjoint, so no two entries share a row.
+    """
+    diag, off = action
+    rows = corners(tab, n)
+    cols = np.arange(len(rows))
+    vals = np.ones(len(rows), dtype=np.int64)
+    for k in range(0, 2 * n, 2):
+        moved = tab.partner[k][rows]
+        has = moved != rows
+        moved = moved[has]
+        rows, cols, vals = (
+            np.concatenate([rows, moved]),
+            np.concatenate([cols, cols[has]]),
+            np.concatenate([vals * (1 + diag[k, rows, 0]) % p,
+                            vals[has] * off[k, moved, 0] % p]))
+    return rows, cols, vals
+
+
 def fixed_basis(tab, n, action, p):
     """C = prod_i (1 + rho(s_(2i))) applied to the unit vectors of the
     corners, modulo p: a basis of the range of Q'."""
-    basis = (np.arange(len(tab))[:, None] == corners(tab, n)).astype(np.int64)
-    for k in range(0, 2 * n, 2):
-        basis = (basis + _apply([k], basis, action, tab.partner, p)) % p
+    rows, cols, vals = _corner_entries(tab, n, action, p)
+    basis = np.zeros((len(tab), len(corners(tab, n))), dtype=np.int64)
+    basis[rows, cols] = vals
     return basis
 
 
@@ -335,9 +390,13 @@ def _residue(tab, fill, n, scale, p):
     d = tab.form(p)
     g_word = reduced_word(interleave(n))
     # B = rho(g) C spans the range of Q = rho(g) Q' rho(g)^-1, and G = C^T D C
-    # (rho(g) preserves D; the scalar 2^-n drops out of tr((G^-1 H)^2))
-    low = fixed_basis(tab, n, action, p)
-    g = (low * (d[:, None] * low % p) % p).sum(axis=0) % p
+    # is diagonal (rho(g) preserves D; the scalar 2^-n drops out of
+    # tr((G^-1 H)^2)), so both come from the sparse entries of C
+    rows, cols, vals = _corner_entries(tab, n, action, p)
+    low = np.zeros((len(tab), len(corners(tab, n))), dtype=np.int64)
+    low[rows, cols] = vals
+    g = np.zeros(low.shape[1], dtype=np.int64)
+    np.add.at(g, cols, d[rows] * vals % p * vals % p)
     basis = _apply(g_word, low, action, tab.partner, p)
     selected = np.zeros_like(basis)
     selected[fill] = basis[fill]
@@ -346,7 +405,7 @@ def _residue(tab, fill, n, scale, p):
     back = _apply(g_word[::-1], selected, action, tab.partner, p)
     image = _apply(range(0, 2 * n, 2), back, action, tab.partner, p)
     h = _gram(back, d[:, None] * image % p, p)
-    x = h * np.array([pow(int(v), -1, p) for v in g])[:, None] % p
+    x = h * np.array([pow(int(v), -1, p) for v in g % p])[:, None] % p
     trace = int((x * x.T % p).sum()) % p
     return scale % p * trace % p
 
@@ -381,18 +440,19 @@ def coefficient(lam, xi) -> int:
 
 
 def _coefficient(lam, xi):
-    """(A_xi(lam), stage): the stage is the first test that proves A_xi = 0
-    ("contains", "lr" for r = 0, "q" for q = 0) or "evaluated"."""
+    """(A_xi(lam), stage, residues): the stage is the first test that proves
+    A_xi = 0 ("contains", "lr" for r = 0, "q" for q = 0) or "evaluated", and
+    residues the number of primes A_xi was computed modulo."""
     t0 = perf_counter()
     n = lam.n
     if not _contains(lam, xi):
-        return 0, "contains"
+        return 0, "contains", 0
     r = projection_rank(lam, xi)
     if r == 0:
-        return 0, "lr"
+        return 0, "lr", 0
     q = fixed_rank(xi, n)
     if q == 0:
-        return 0, "q"
+        return 0, "q", 0
     tab = tableaux(xi.parts)
     if len(corners(tab, n)) != q:
         raise ArithmeticError(f"{xi}: the corner tableaux miss the fixed rank {q}")
@@ -406,7 +466,7 @@ def _coefficient(lam, xi):
         log.debug("xi=%s f=%d q=%d r=%d primes=%d headroom_bits=%.1f seconds=%.4f",
                   xi, len(tab), q, r, used, log2(modulus) - log2(bound),
                   perf_counter() - t0)
-    return value, "evaluated"
+    return value, "evaluated", used
 
 
 def pair_coefficient(lam, xi, A, B) -> int:
@@ -455,16 +515,20 @@ def pair_coefficient(lam, xi, A, B) -> int:
 
 def class_coefficients(lam) -> dict[Partition, int]:
     """The nonzero A_xi(lam) for every partition xi of 2n, in canonical order."""
+    t0 = perf_counter()
     lam = as_partition(lam)
     coeffs = {}
     stages = Counter()
+    residues = 0
     for xi in partition_list(2 * lam.n):
-        a, stage = _coefficient(lam, xi)
+        a, stage, used = _coefficient(lam, xi)
         stages[stage] += 1
+        residues += used
         if a:
             coeffs[xi] = a
     if shape_log.isEnabledFor(logging.DEBUG):
         shape_log.debug("lam=%s evaluated=%d skipped_contains=%d skipped_lr=%d "
-                        "skipped_q=%d", lam, stages["evaluated"], stages["contains"],
-                        stages["lr"], stages["q"])
+                        "skipped_q=%d residues=%d seconds=%.4f", lam,
+                        stages["evaluated"], stages["contains"], stages["lr"],
+                        stages["q"], residues, perf_counter() - t0)
     return coeffs

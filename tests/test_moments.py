@@ -291,12 +291,22 @@ def test_second_moment_positive_on_valid_range():
 
 
 def test_second_moment_asymptotics_match_leading_coefficient():
-    for n in range(1, 5):
+    for n in range(1, 6):
         for lam in partition_list(n):
             assert second_moment(lam).leading_asymptotics() == (
                 Fraction(leading_coefficient(lam)),
                 2 * n,
             )
+
+
+@pytest.mark.slow
+def test_second_moment_asymptotics_match_leading_coefficient_at_six():
+    # every shape of 6, past the default guard (about 25 s in all)
+    for lam in partition_list(6):
+        assert second_moment(lam, limit=6).leading_asymptotics() == (
+            Fraction(leading_coefficient(lam)),
+            12,
+        ), lam
 
 
 def test_class_coefficients_recombine_to_second_moment():
@@ -453,12 +463,16 @@ def test_engine_logs_why_each_xi_was_skipped(caplog):
         assert len(lines) == 1, lines
         fields = dict(re.findall(r"(\w+)=(\S+)", lines[0]))
         assert fields.pop("lam") == ",".join(map(str, lam))
+        assert float(fields.pop("seconds")) >= 0
+        residues = int(fields.pop("residues"))
         stages = {k: int(v) for k, v in fields.items()}
         assert set(stages) == {"evaluated", "skipped_contains", "skipped_lr", "skipped_q"}
         assert sum(stages.values()) == len(partition_list(2 * sum(lam)))
         assert stages["evaluated"] >= len(coeffs)
-        per_xi = [r for r in caplog.records if r.name == "immom.seminormal"]
+        per_xi = [r.getMessage() for r in caplog.records if r.name == "immom.seminormal"]
         assert len(per_xi) == stages["evaluated"]
+        # one residue per prime of each evaluated xi
+        assert residues == sum(int(re.search(r"primes=(\d+)", line)[1]) for line in per_xi)
         counts[lam] = stages
     # of the 28 irreps of S_10 that contain (3, 2), 13 have c = 0 (9 of
     # them with q > 0), so 15 are evaluated instead of 24

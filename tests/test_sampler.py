@@ -238,6 +238,21 @@ def test_permanent_memory_is_bounded_by_the_sign_block(rng):
     assert peak < 8 * 2**20
 
 
+def test_permanent_values_do_not_depend_on_the_stack_layout():
+    # haar_block returns a sample-innermost view; a lone sample, a leading
+    # slice and a C-contiguous copy must all give the stack's values bit for
+    # bit (n = 8 sums its sign vectors in two blocks)
+    for n in (2, 5, 8):
+        M = haar_block(10, 300, np.random.default_rng(n), n)
+        want = permanent_batch(M)
+        for count in (1, 2, 17, 300):
+            assert np.array_equal(permanent_batch(M[:count]), want[:count]), (n, count)
+            assert np.array_equal(
+                permanent_batch(np.ascontiguousarray(M[:count])), want[:count]), (n, count)
+        for i in (1, 150, 299):
+            assert np.array_equal(permanent_batch(M[i:i + 1]), want[i:i + 1]), (n, i)
+
+
 def test_general_immanant_memory_is_bounded_by_the_term_block(rng):
     # the unblocked product formed two (4096, 720) complex arrays, 90 MiB
     # at peak

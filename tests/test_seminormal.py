@@ -5,11 +5,15 @@ test_moments; these tests check the pieces they rest on: the tableau
 tables, that the two-term row updates define a representation with the
 stated character and invariant form, the corner basis of the fixed space
 of Q, the rank of P that screens out irreps before any tableau work, and
-the adjacent-transposition words.
+the adjacent-transposition words.  The fast kernels (the in-place row
+update, the sparse corner basis, the tabulated form and the recursive row
+words) are each checked against a plain dense or letter-by-letter
+reference kept here.
 """
 
 from itertools import combinations
 from math import comb
+from random import Random
 
 import numpy as np
 
@@ -17,6 +21,7 @@ from immom.characters import character
 from immom.partitions import conjugate, dim_symmetric, partition_list
 from immom.seminormal import (
     _apply,
+    _fractions,
     _gram,
     corners,
     fixed_basis,
@@ -145,3 +150,80 @@ def test_reduced_words_spell_their_permutations():
             inversions = sum(img[i] > img[j] for i, j in combinations(range(2 * n), 2))
             assert len(word) == inversions
         assert len(reduced_word(block_swap)) == n * n
+
+
+# ---------------------------------------------------------------------------
+# the fast kernels against plain references
+
+
+def _dense_letter(tab, action, k):
+    """rho(s_k) as a dense object matrix: diag on the diagonal and off at
+    the partner's column, read off the action tables."""
+    diag, off = action
+    rho = np.zeros((len(tab), len(tab)), dtype=object)
+    for t in range(len(tab)):
+        rho[t, t] += int(diag[k, t, 0])
+        rho[t, tab.partner[k, t]] += int(off[k, t, 0])
+    return rho
+
+
+def test_apply_is_the_product_of_dense_letters_and_keeps_its_input():
+    draw = Random(5)
+    for xi in ((3, 2), (2, 2, 1, 1), (4, 2, 1), (3, 2, 2, 1)):
+        tab = tableaux(xi)
+        m = sum(xi)
+        action = tab.action(P)
+        letters = [_dense_letter(tab, action, k) for k in range(m - 1)]
+        x = np.array([[draw.randrange(P) for _ in range(3)] for _ in range(len(tab))],
+                     dtype=np.int64)
+        kept = x.copy()
+        word = [draw.randrange(m - 1) for _ in range(12)]
+        want = x.astype(object)
+        for k in reversed(word):
+            want = letters[k].dot(want) % P
+        got = _apply(word, x, action, tab.partner, P)
+        assert np.array_equal(x, kept), xi
+        assert np.array_equal(got, want.astype(np.int64)), xi
+
+
+def test_fixed_basis_is_the_letter_by_letter_product():
+    for n in range(1, 6):
+        for xi in partition_list(2 * n):
+            tab = tableaux(xi.parts)
+            action = tab.action(P)
+            want = (np.arange(len(tab))[:, None] == corners(tab, n)).astype(np.int64)
+            for k in range(0, 2 * n, 2):
+                want = (want + _apply([k], want, action, tab.partner, P)) % P
+            assert np.array_equal(fixed_basis(tab, n, action, P), want), xi
+
+
+def test_form_is_the_pairwise_product():
+    # d_T = prod over letters i < j with a = c_T(j) - c_T(i) <= -2 of
+    # alpha(a), one pair at a time
+    for p in primes()[:2]:
+        for m in range(1, 11):
+            _, alpha = _fractions(m, p)
+            for xi in partition_list(m):
+                tab = tableaux(xi.parts)
+                want = np.ones(len(tab), dtype=np.int64)
+                for i, j in combinations(range(m), 2):
+                    a = tab.contents[:, j] - tab.contents[:, i]
+                    want = want * np.where(a <= -2, alpha[a + m], 1) % p
+                assert np.array_equal(tab.form(p), want), (p, xi)
+
+
+def _letter_by_letter_words(parts):
+    """Row words of the standard tableaux, grown one letter at a time."""
+    words = [()]
+    for _ in range(sum(parts)):
+        words = [w + (r,) for w in words for r in range(len(parts))
+                 if w.count(r) < parts[r] and (r == 0 or w.count(r - 1) > w.count(r))]
+    return words
+
+
+def test_words_are_the_letter_by_letter_build_in_order():
+    for m in range(11):
+        for xi in partition_list(m):
+            tab = tableaux(xi.parts)
+            want = sorted(_letter_by_letter_words(xi.parts))
+            assert [tuple(w) for w in tab.words.tolist()] == want, xi
