@@ -8,6 +8,9 @@ stdout unless ``--out FILE`` is given.  ``--format`` selects plain text, JSON
 the row-oriented subcommands (``sample``, ``verify``, ``table1``, ``table2``,
 ``dominance``).
 
+Every JSON payload is built by report(), the one place that stamps the
+schema version; the formula modules return exact values only.
+
 Exit status: 0 on success; 1 when a verification or golden-table comparison
 fails; 2 on usage or domain errors (bad partition syntax, ``--d`` below the
 block size n, evaluation at a pole, size caps exceeded without
@@ -35,10 +38,16 @@ from .moments import (
     mean,
     mean_dominance_check,
     perm_fourth_conjecture,
-    report,
     second_moment,
 )
-from .partitions import Dominance, Partition, dominates, parse_partition, partition_list
+from .partitions import (
+    Dominance,
+    Partition,
+    as_partition,
+    dominates,
+    parse_partition,
+    partition_list,
+)
 from .ratfun import RationalFunction
 from .sampler import moment_scan
 from .weingarten import weingarten
@@ -101,6 +110,43 @@ def load_golden():
 # output plumbing
 
 
+def rational_payload(f: RationalFunction) -> dict:
+    """JSON-ready exact form: prefactor, ascending numerator coefficients,
+    denominator scalar, and [offset, multiplicity] factor pairs."""
+    return {
+        "prefactor": f.prefactor,
+        "numerator_coeffs": list(f.numer),
+        "denominator_scalar": f.den.scalar,
+        "denominator_factors": [[c, m] for c, m in f.den.factors.items()],
+    }
+
+
+def report(kind, lam=None, n=None, value=None, d=None, **fields):
+    """Assemble a JSON report dict (schema version 1).
+
+    After the kind come the shape (its parts and n) or else the block size
+    n; the rational form of value; d, and the value there when there is
+    one; then the trailing fields in the order given, leaving out None.
+    """
+    out = {"schema_version": 1, "kind": kind}
+    if lam is not None:
+        lam = as_partition(lam)
+        out["lambda"] = list(lam.parts)
+        out["n"] = lam.n
+    elif n is not None:
+        out["n"] = n
+    if value is not None:
+        out["rational"] = {**rational_payload(value), "machine": value.to_machine(),
+                           "display": value.to_display()}
+    if d is not None:
+        out["d"] = d
+        if value is not None:
+            q = value.evaluate(d)
+            out["value"] = f"{q.numerator}/{q.denominator}"
+    out.update((k, v) for k, v in fields.items() if v is not None)
+    return out
+
+
 def _csv_cell(value):
     if isinstance(value, bool):
         return int(value)
@@ -152,12 +198,17 @@ def _parse_d_range(text):
     return list(range(lo, hi + 1))
 
 
-def _default_samples(args):
-    if args.samples is not None:
-        if args.samples < 2:
-            raise ValueError("need at least 2 samples for a standard error")
-        return args.samples
-    return 10**4 if args.power == 2 else 10**5
+def _sampling_setup(args):
+    """The shape, samples per point and d grid of sample and verify."""
+    lam = parse_partition(args.partition)
+    samples = args.samples
+    if samples is None:
+        samples = 10**4 if args.power == 2 else 10**5
+    elif samples < 2:
+        raise ValueError("need at least 2 samples for a standard error")
+    d_values = _parse_d_range(args.d)
+    _check_dimension(min(d_values), lam.n)
+    return lam, samples, d_values
 
 
 # ---------------------------------------------------------------------------
@@ -173,21 +224,20 @@ def _closed_form(args, kind, label, f, lam=None, n=None, half_power=1, power=Non
     whose derivation assumes d >= t*n; evaluated below that, the value is
     the rational continuation of the formula, and a note says so.
     """
-    payload = report(kind, lam=lam, n=n, value=f, d=args.d, wall_time_s=wall_time_s)
+    bound = half_power * (n if lam is None else lam.n)
+    warnings = None
+    if half_power >= 2 and args.d is not None and args.d < bound:
+        warnings = [f"d = {args.d} is below {bound} = {half_power}*n: the derivation of "
+                    f"this formula assumed d >= {half_power}*n, so the evaluated value is "
+                    "the rational continuation of the closed form"]
+    payload = report(kind, lam=lam, n=n, value=f, d=args.d, wall_time_s=wall_time_s,
+                     power=power, warnings=warnings)
     lines = [f"{label} = {f.to_display()}" + ("" if lam is not None else f"  (n = {n})")]
     if args.d is not None:
         lines.append(f"at d = {args.d}: {payload['value']}")
     if wall_time_s is not None:
         lines.append(f"computed in {wall_time_s:.3f} s")
-    if power is not None:
-        payload["power"] = power
-    bound = half_power * payload["n"]
-    if half_power >= 2 and args.d is not None and args.d < bound:
-        warning = (f"d = {args.d} is below {bound} = {half_power}*n: the derivation of "
-                   f"this formula assumed d >= {half_power}*n, so the evaluated value is "
-                   "the rational continuation of the closed form")
-        payload["warnings"] = [warning]
-        lines.append(f"note: {warning}")
+    lines += [f"note: {w}" for w in warnings or ()]
     _emit(args, lines, payload)
     return 0
 
@@ -259,15 +309,8 @@ def _cmd_dominance(args):
                 {"d": d, "lambda": list(lam.parts), "mu": list(mu.parts)}
             )
     ok = not violations
-    payload = {
-        "schema_version": 1,
-        "kind": "dominance",
-        "n": n,
-        "d_values": d_values,
-        "pairs_checked": pairs,
-        "violations": violations,
-        "ok": ok,
-    }
+    payload = report("dominance", n=n, d_values=d_values, pairs_checked=pairs,
+                     violations=violations, ok=ok)
     d_text = f"d = {d_values[0]}" if len(d_values) == 1 else (
         f"d = {d_values[0]}..{d_values[-1]}"
     )
@@ -292,34 +335,22 @@ def _cmd_dominance(args):
 
 
 def _cmd_sample(args):
-    lam = parse_partition(args.partition)
-    samples = _default_samples(args)
-    d_values = _parse_d_range(args.d)
-    _check_dimension(min(d_values), lam.n)
+    lam, samples, d_values = _sampling_setup(args)
     ests = moment_scan(lam, d_values, args.power, samples, args.seed,
                        workers=args.workers)
     rows = [{"d": e.d, "estimate": e.real, "stderr": e.stderr} for e in ests]
     if len(ests) == 1:
         e = ests[0]
-        payload = {
-            "schema_version": 1, "kind": "estimate",
-            "lambda": list(lam.parts), "n": lam.n,
-            "d": e.d, "power": e.power, "samples": e.samples,
-            "seed": e.seed, "workers": args.workers,
-            "estimate": e.real, "stderr": e.stderr,
-        }
+        payload = report("estimate", lam=lam, d=e.d, power=e.power, samples=e.samples,
+                         seed=e.seed, workers=args.workers, estimate=e.real,
+                         stderr=e.stderr)
         lines = [
             f"E|Imm^({lam}) M|^{args.power} at d = {e.d}: "
             f"{e.real:.9g} +/- {e.stderr:.3g}  ({e.samples} samples, seed {e.seed})"
         ]
     else:
-        payload = {
-            "schema_version": 1, "kind": "scan",
-            "lambda": list(lam.parts), "n": lam.n,
-            "power": args.power, "samples": samples,
-            "seed": args.seed, "workers": args.workers,
-            "rows": rows,
-        }
+        payload = report("scan", lam=lam, power=args.power, samples=samples,
+                         seed=args.seed, workers=args.workers, rows=rows)
         lines = [
             f"E|Imm^({lam}) M|^{args.power}, {samples} samples per point, "
             f"seed {args.seed}"
@@ -336,10 +367,7 @@ def _cmd_sample(args):
 
 
 def _cmd_verify(args):
-    lam = parse_partition(args.partition)
-    samples = _default_samples(args)
-    d_values = _parse_d_range(args.d)
-    _check_dimension(min(d_values), lam.n)
+    lam, samples, d_values = _sampling_setup(args)
     if args.power == 2:
         exact = mean(lam)
     else:
@@ -365,13 +393,9 @@ def _cmd_verify(args):
         )
     ok_fraction = n_ok / len(ests)
     ok = ok_fraction >= 0.95
-    payload = {
-        "schema_version": 1, "kind": "verify",
-        "lambda": list(lam.parts), "n": lam.n,
-        "power": args.power, "samples": samples, "seed": args.seed,
-        "workers": args.workers, "threshold": args.threshold,
-        "rows": rows, "ok_fraction": ok_fraction, "ok": ok,
-    }
+    payload = report("verify", lam=lam, power=args.power, samples=samples,
+                     seed=args.seed, workers=args.workers, threshold=args.threshold,
+                     rows=rows, ok_fraction=ok_fraction, ok=ok)
     lines = [
         f"verify E|Imm^({lam}) M|^{args.power} against {exact.to_display()}; "
         f"{samples} samples per point, seed {args.seed}"
@@ -438,10 +462,7 @@ def _cmd_table1(args):
             lines.append(f"    fourth computed: {got_fourth.to_machine()}")
             lines.append(f"    fourth expected: {expected.to_machine()}")
     lines.append("all rows match" if all_ok else "MISMATCHES FOUND")
-    payload = {
-        "schema_version": 1, "kind": "table1", "max_n": args.max_n,
-        "rows": rows, "ok": all_ok,
-    }
+    payload = report("table1", max_n=args.max_n, rows=rows, ok=all_ok)
     fields = ["lambda", "mean_ok", "fourth_ok", "fourth_erratum", "mean", "fourth"]
     _emit(args, lines, payload, rows=rows, fields=fields)
     return 0 if all_ok else 1
@@ -464,10 +485,7 @@ def _cmd_table2(args):
             f"J({lam}) = {j}" + ("" if ok else f"  MISMATCH (expected {expected})")
         )
     lines.append("all values match" if all_ok else "MISMATCHES FOUND")
-    payload = {
-        "schema_version": 1, "kind": "table2", "max_n": args.max_n,
-        "rows": rows, "ok": all_ok,
-    }
+    payload = report("table2", max_n=args.max_n, rows=rows, ok=all_ok)
     _emit(args, lines, payload, rows=rows, fields=["lambda", "j", "expected", "ok"])
     return 0 if all_ok else 1
 
@@ -534,7 +552,6 @@ def build_parser():
     p = sub.add_parser("mean", help="exact mean of |Imm^lambda M|^2")
     p.add_argument("partition", help="partition, e.g. 2,1 or 2,1^3")
     _add_d_flag(p)
-    _add_output_flags(p)
     p.set_defaults(func=_cmd_mean)
 
     p = sub.add_parser("second-moment",
@@ -542,7 +559,6 @@ def build_parser():
     p.add_argument("partition")
     _add_d_flag(p)
     _add_limit_flag(p)
-    _add_output_flags(p)
     p.set_defaults(func=_cmd_second_moment)
 
     p = sub.add_parser(
@@ -551,7 +567,6 @@ def build_parser():
     )
     p.add_argument("partition")
     _add_limit_flag(p)
-    _add_output_flags(p)
     p.set_defaults(func=_cmd_leading)
 
     p = sub.add_parser("det-moment",
@@ -560,7 +575,6 @@ def build_parser():
     p.add_argument("--power", type=int, default=4,
                    help="even absolute-moment power 2t (default 4)")
     _add_d_flag(p)
-    _add_output_flags(p)
     p.set_defaults(func=_cmd_det_moment)
 
     p = sub.add_parser(
@@ -569,14 +583,12 @@ def build_parser():
     )
     p.add_argument("n", type=int)
     _add_d_flag(p)
-    _add_output_flags(p)
     p.set_defaults(func=_cmd_perm_conjecture)
 
     p = sub.add_parser("wg",
                        help="Weingarten function of a cycle type, rational in d")
     p.add_argument("cycle_type", help="cycle type as a partition, e.g. 2,1")
     _add_d_flag(p)
-    _add_output_flags(p)
     p.set_defaults(func=_cmd_wg)
 
     p = sub.add_parser(
@@ -585,7 +597,6 @@ def build_parser():
     )
     p.add_argument("n", type=int)
     _add_d_flag(p, help="single dimension to check (default: n..n+10)")
-    _add_output_flags(p)
     p.set_defaults(func=_cmd_dominance)
 
     p = sub.add_parser("sample",
@@ -594,7 +605,6 @@ def build_parser():
     _add_d_flag(p, grid=True)
     _add_sampling_flags(p)
     _add_workers_flag(p)
-    _add_output_flags(p)
     p.set_defaults(func=_cmd_sample)
 
     p = sub.add_parser(
@@ -608,7 +618,6 @@ def build_parser():
                    help="per-point |z| acceptance threshold (default 5)")
     _add_workers_flag(p)
     _add_limit_flag(p)
-    _add_output_flags(p)
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser(
@@ -618,7 +627,6 @@ def build_parser():
     p.add_argument("--max-n", type=int, default=5,
                    help="largest n to include (2..5, default 5; "
                         "the whole table takes about 0.6 s on 2 vCPUs)")
-    _add_output_flags(p)
     p.set_defaults(func=_cmd_table1)
 
     p = sub.add_parser(
@@ -628,9 +636,10 @@ def build_parser():
     p.add_argument("--max-n", type=int, default=7,
                    help="largest n to include (1..9, default 7)")
     _add_limit_flag(p)
-    _add_output_flags(p)
     p.set_defaults(func=_cmd_table2)
 
+    for p in sub.choices.values():
+        _add_output_flags(p)
     return parser
 
 

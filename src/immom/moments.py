@@ -19,6 +19,9 @@ oracles for small n.
 The d -> infinity scale of the fourth moment is an integer J(lam), computed
 here by its own factored character sum (j_pair / leading_coefficient), which
 is an independent check on the rational pipeline.
+
+This module returns exact values only; the JSON reports that carry them are
+built in cli (report).
 """
 
 from __future__ import annotations
@@ -55,6 +58,8 @@ from .symgroup import (
     theta,
 )
 from .tsum import t_histogram
+# the name under which the benchmark tracer wraps the rational assembly
+from .weingarten import irreducible_sum as _assemble_rational
 
 SECOND_MOMENT_LIMIT = 5
 LEADING_LIMIT = 10
@@ -115,15 +120,6 @@ def representatives(n):
                 reps.append((mult, interval(l), interval(l + k, l - j)))
     assert sum(m for m, _, _ in reps) == 4**n
     return reps
-
-
-def _assemble_rational(coeffs):
-    total = RationalFunction(0)
-    for xi, a in coeffs.items():
-        total += RationalFunction.ratio(
-            a, unitary_numerator(xi), den_scalar=hook_product(xi)
-        )
-    return total
 
 
 @cache
@@ -209,13 +205,11 @@ def second_moment_direct(lam) -> RationalFunction:
 # leading coefficients
 
 
-# (n, l, k) -> class array of theta(l, k) o (a (+) c) over orbit
-# representatives a, c, for one degree at a time
-_CLASSES: dict = {}
 # G = (F v) F^T runs in int64 when contraction * max|chi|^2 is below this
 _INT64_LIMIT = 2**63
 
 
+@cache
 def _classes(n, l, k):
     """Class index of theta(l, k) composed with a (+) c, for a and c the
     orbit representatives of marked_orbits(l, k) and marked_orbits(n - l, k)
@@ -224,27 +218,22 @@ def _classes(n, l, k):
     entry per pair of orbits, not per pair of permutations: 1 x 67 at
     n = 10, l = 1, k = 1 where all of S_1 x S_9 has 362880 pairs.
 
-    The array does not depend on lam, so it is built once per (l, k) and
-    kept until a call at another degree clears the cache.  It is classified
-    by the module-level cycle_keyer, looked up at build time, which the
-    benchmark tracer wraps.
+    The array does not depend on lam, so it is built once per (n, l, k) and
+    kept, like marked_orbits and cycle_keyer: the arrays for every (l, k)
+    through n = 10 total about 60 KB.  It is classified by the module-level
+    cycle_keyer, looked up at build time, which the benchmark tracer wraps.
     """
-    if _CLASSES and next(iter(_CLASSES))[0] != n:
-        _CLASSES.clear()
-    cls = _CLASSES.get((n, l, k))
-    if cls is None:
-        th = np.array(theta(l, k, n).img, dtype=np.uint8)
-        x_side = marked_orbits(l, k)[0]
-        y_side = marked_orbits(n - l, k)[0] + np.uint8(l)
-        combined = np.empty((len(x_side), len(y_side), n), dtype=np.uint8)
-        combined[:, :, :l] = x_side[:, None, :]
-        combined[:, :, l:] = y_side[None, :, :]
-        cls = cycle_keyer(n)(th[combined].reshape(len(x_side) * len(y_side), n))
-        cls = cls.reshape(len(x_side), len(y_side))
-        if l > n - l:
-            cls = np.ascontiguousarray(cls.T)
-        cls.flags.writeable = False
-        _CLASSES[(n, l, k)] = cls
+    th = np.array(theta(l, k, n).img, dtype=np.uint8)
+    x_side = marked_orbits(l, k)[0]
+    y_side = marked_orbits(n - l, k)[0] + np.uint8(l)
+    combined = np.empty((len(x_side), len(y_side), n), dtype=np.uint8)
+    combined[:, :, :l] = x_side[:, None, :]
+    combined[:, :, l:] = y_side[None, :, :]
+    cls = cycle_keyer(n)(th[combined].reshape(len(x_side) * len(y_side), n))
+    cls = cls.reshape(len(x_side), len(y_side))
+    if l > n - l:
+        cls = np.ascontiguousarray(cls.T)
+    cls.flags.writeable = False
     return cls
 
 
@@ -377,43 +366,3 @@ def mean_dominance_check(n, d):
             if dominates(lam, mu) is Dominance.GREATER and values[lam] > values[mu]:
                 bad.append((lam, mu))
     return bad
-
-
-# ---------------------------------------------------------------------------
-# report payloads
-
-
-def rational_payload(f: RationalFunction) -> dict:
-    """JSON-ready exact form: prefactor, ascending numerator coefficients,
-    denominator scalar, and [offset, multiplicity] factor pairs."""
-    return {
-        "prefactor": f.prefactor,
-        "numerator_coeffs": list(f.numer),
-        "denominator_scalar": f.den.scalar,
-        "denominator_factors": [[c, m] for c, m in f.den.factors.items()],
-    }
-
-
-def report(kind, lam=None, n=None, value=None, integer=None, d=None, wall_time_s=None):
-    """Assemble the standard JSON report dict (schema version 1)."""
-    out = {"schema_version": 1, "kind": kind}
-    if lam is not None:
-        lam = as_partition(lam)
-        out["lambda"] = list(lam.parts)
-        out["n"] = lam.n
-    elif n is not None:
-        out["n"] = n
-    if value is not None:
-        payload = rational_payload(value)
-        payload["machine"] = value.to_machine()
-        payload["display"] = value.to_display()
-        out["rational"] = payload
-        if d is not None:
-            q = value.evaluate(d)
-            out["d"] = d
-            out["value"] = f"{q.numerator}/{q.denominator}"
-    if integer is not None:
-        out["integer"] = integer
-    if wall_time_s is not None:
-        out["wall_time_s"] = wall_time_s
-    return out

@@ -88,7 +88,7 @@ from __future__ import annotations
 import logging
 from collections import Counter
 from functools import cache
-from math import comb, factorial, isqrt, log2
+from math import comb, factorial, log2
 from time import perf_counter
 
 import numpy as np
@@ -100,21 +100,17 @@ log = logging.getLogger(__name__)
 # one summary line per shape, apart from the per-xi lines of log
 shape_log = logging.getLogger(__name__ + ".shapes")
 
-_PRIME_CEILING = 1 << 25
-_PRIME_COUNT = 16
 _INT64_MAX = (1 << 63) - 1
+# the 16 largest primes below 2**25, in descending order (a test re-derives
+# them by trial division)
+_PRIMES = (33554393, 33554383, 33554371, 33554347, 33554341, 33554317, 33554291,
+           33554273, 33554267, 33554249, 33554239, 33554221, 33554201, 33554167,
+           33554159, 33554137)
 
 
-@cache
 def primes() -> tuple[int, ...]:
     """The moduli: the largest primes below 2**25, in descending order."""
-    found = []
-    cand = _PRIME_CEILING - 1
-    while len(found) < _PRIME_COUNT:
-        if all(cand % d for d in range(3, isqrt(cand) + 1, 2)):
-            found.append(cand)
-        cand -= 2
-    return tuple(found)
+    return _PRIMES
 
 
 class Tableaux:

@@ -22,19 +22,24 @@ from .ratfun import RationalFunction
 from .symgroup import all_permutations
 
 
+def irreducible_sum(coeffs) -> RationalFunction:
+    """The sum over xi of coeffs[xi] / (H(xi) N(xi, d)), in the order of coeffs:
+    W(rho) with coeffs chi_xi(rho), and the fourth moment of an immanant
+    with coeffs its integers A_xi (see moments)."""
+    total = RationalFunction(0)
+    for xi, a in coeffs.items():
+        total += RationalFunction.ratio(
+            a, unitary_numerator(xi), den_scalar=hook_product(xi)
+        )
+    return total
+
+
 @cache
 def _weingarten_cached(rho_parts: tuple) -> RationalFunction:
     m = sum(rho_parts)
     table = character_table(m)
-    total = RationalFunction(0)
-    for xi in partition_list(m):
-        chi = table.value(xi, rho_parts)
-        if chi == 0:
-            continue
-        total += RationalFunction.ratio(
-            chi, unitary_numerator(xi), den_scalar=hook_product(xi)
-        )
-    return total
+    return irreducible_sum({xi: chi for xi in partition_list(m)
+                            if (chi := table.value(xi, rho_parts))})
 
 
 def weingarten(rho, d=None):

@@ -15,7 +15,7 @@ import jsonschema
 import pytest
 
 from immom import cli
-from immom.cli import main
+from immom.cli import main, rational_payload, report
 from immom.moments import (
     LEADING_LIMIT,
     SECOND_MOMENT_LIMIT,
@@ -23,6 +23,7 @@ from immom.moments import (
     mean,
     second_moment,
 )
+from immom.partitions import Partition
 from immom.ratfun import RationalFunction as R
 
 
@@ -345,6 +346,63 @@ def test_table2_csv(capsys):
 
 # ---------------------------------------------------------------------------
 # output plumbing
+
+
+def test_rational_payload_round_trips():
+    f = mean((2, 1))
+    p = rational_payload(f)
+    assert p["prefactor"] == 6
+    assert p["denominator_factors"] == [[-1, 1], [0, 1], [1, 1]]
+    rebuilt = R.ratio(
+        tuple(p["numerator_coeffs"]),
+        {off: m for off, m in p["denominator_factors"]},
+        den_scalar=p["denominator_scalar"],
+    ) * p["prefactor"]
+    assert rebuilt == f
+
+
+def test_report_shapes():
+    rep = report("mean", lam=Partition((2, 1)), value=mean((2, 1)), d=3)
+    assert rep["schema_version"] == 1
+    assert rep["kind"] == "mean"
+    assert rep["lambda"] == [2, 1]
+    assert rep["n"] == 3
+    assert rep["value"] == "1/4"
+    assert rep["rational"]["machine"] == "6 / ((d - 1)*d*(d + 1))"
+    rep2 = report("leading_coefficient", lam=Partition((1,)), integer=2)
+    assert rep2["integer"] == 2
+
+
+def test_report_keeps_trailing_fields_in_order_and_drops_none():
+    rep = report("check", n=4, zeta=1, alpha=None, ok=False, beta=[], mid=None, a=0)
+    assert list(rep.items()) == [
+        ("schema_version", 1), ("kind", "check"), ("n", 4),
+        ("zeta", 1), ("ok", False), ("beta", []), ("a", 0),
+    ]
+    # d without a value is a plain field after the shape
+    assert list(report("estimate", lam=(2,), d=5, power=2)) == [
+        "schema_version", "kind", "lambda", "n", "d", "power",
+    ]
+
+
+@pytest.mark.parametrize("argv, keys", [
+    (("sample", "2,1", "--d", "5", "--samples", "50", "--workers", "1"),
+     ["schema_version", "kind", "lambda", "n", "d", "power", "samples", "seed",
+      "workers", "estimate", "stderr"]),
+    (("sample", "2,1", "--d", "4:5", "--samples", "50", "--workers", "1"),
+     ["schema_version", "kind", "lambda", "n", "power", "samples", "seed",
+      "workers", "rows"]),
+    (("verify", "2,1", "--d", "4:5", "--samples", "50", "--workers", "1"),
+     ["schema_version", "kind", "lambda", "n", "power", "samples", "seed",
+      "workers", "threshold", "rows", "ok_fraction", "ok"]),
+    (("dominance", "3"),
+     ["schema_version", "kind", "n", "d_values", "pairs_checked", "violations", "ok"]),
+    (("table2", "--max-n", "2"),
+     ["schema_version", "kind", "max_n", "rows", "ok"]),
+])
+def test_json_payload_key_order(capsys, argv, keys):
+    code, payload = run_json(capsys, *argv)
+    assert list(payload) == keys
 
 
 def test_out_file(tmp_path, capsys):

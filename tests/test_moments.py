@@ -34,8 +34,6 @@ from immom.moments import (
     mean,
     mean_dominance_check,
     perm_fourth_conjecture,
-    rational_payload,
-    report,
     representatives,
     second_moment,
     second_moment_direct,
@@ -567,7 +565,7 @@ def test_j_pair_full_swap_is_the_square_of_the_group_order():
 
 
 def _cold_j_pair(lam, l, k):
-    moments._CLASSES.clear()
+    moments._classes.cache_clear()
     return j_pair(lam, l, k)
 
 
@@ -575,17 +573,16 @@ def test_j_pair_class_cache_matches_cold_calls_across_degrees():
     calls = [((3, 2), 2, 1), ((2, 2, 1), 2, 1), ((4, 2), 3, 2), ((3, 2, 1), 2, 0),
              ((3, 2), 2, 1), ((1,) * 5, 1, 1), ((2, 2, 1), 2, 1)]
     cold = [_cold_j_pair(*c) for c in calls]
-    moments._CLASSES.clear()
+    moments._classes.cache_clear()
     assert [j_pair(*c) for c in calls] == cold
 
 
-def test_j_pair_class_cache_holds_one_read_only_degree():
+def test_j_pair_class_cache_is_read_only():
     j_pair((4, 2), 2, 1)
     j_pair((3, 2), 1, 0)
     j_pair((2, 2, 1), 3, 2)
-    assert moments._CLASSES
-    assert {n for n, _, _ in moments._CLASSES} == {5}
-    for cls in moments._CLASSES.values():
+    for key in ((6, 2, 1), (5, 1, 0), (5, 3, 2)):
+        cls = moments._classes(*key)
         assert not cls.flags.writeable
         with pytest.raises(ValueError):
             cls[0, 0] = 0
@@ -675,35 +672,6 @@ def test_mean_dominance_two_symbols_values():
     assert mean((2,)).evaluate(2) == Fraction(1, 3)
     assert mean((1, 1)).evaluate(2) == 1
     assert mean_dominance_check(2, 2) == []
-
-
-# ---------------------------------------------------------------------------
-# report payloads
-
-
-def test_rational_payload_round_trips():
-    f = mean((2, 1))
-    p = rational_payload(f)
-    assert p["prefactor"] == 6
-    assert p["denominator_factors"] == [[-1, 1], [0, 1], [1, 1]]
-    rebuilt = R.ratio(
-        tuple(p["numerator_coeffs"]),
-        {off: m for off, m in p["denominator_factors"]},
-        den_scalar=p["denominator_scalar"],
-    ) * p["prefactor"]
-    assert rebuilt == f
-
-
-def test_report_shapes():
-    rep = report("mean", lam=Partition((2, 1)), value=mean((2, 1)), d=3)
-    assert rep["schema_version"] == 1
-    assert rep["kind"] == "mean"
-    assert rep["lambda"] == [2, 1]
-    assert rep["n"] == 3
-    assert rep["value"] == "1/4"
-    assert rep["rational"]["machine"] == "6 / ((d - 1)*d*(d + 1))"
-    rep2 = report("leading_coefficient", lam=Partition((1,)), integer=2)
-    assert rep2["integer"] == 2
 
 
 # ---------------------------------------------------------------------------

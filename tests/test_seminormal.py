@@ -12,7 +12,7 @@ reference kept here.
 """
 
 from itertools import combinations
-from math import comb
+from math import comb, isqrt
 from random import Random
 
 import numpy as np
@@ -43,6 +43,17 @@ def _matrices(xi):
     eye = np.eye(len(tab), dtype=np.int64)
     action = tab.action(P)
     return tab, [_apply([k], eye, action, tab.partner, P) for k in range(xi.n - 1)]
+
+
+def test_primes_are_the_largest_sixteen_below_2_to_the_25():
+    def is_prime(c):
+        return c > 1 and all(c % d for d in range(2, isqrt(c) + 1))
+
+    ps = primes()
+    assert len(ps) == 16 and list(ps) == sorted(ps, reverse=True)
+    assert all(is_prime(p) for p in ps)
+    # every odd number between the entries and up to 2^25 is composite
+    assert [c for c in range(ps[-1], 1 << 25, 2) if is_prime(c)] == sorted(ps)
 
 
 def test_tables_enumerate_each_standard_tableau_once():
