@@ -11,7 +11,6 @@ rows.
 
 from __future__ import annotations
 
-import csv
 from functools import cache
 from math import factorial
 
@@ -110,22 +109,6 @@ class CharacterTable:
         lam, mu = as_partition(lam), as_partition(mu)
         return int(self.values[self.index[lam.parts], self.index[mu.parts]])
 
-    def to_csv(self, target) -> None:
-        """Dump the table for inspection: rows are irreps, columns are
-        cycle-type classes, both in the canonical partition order.  Accepts
-        a path or an open text file."""
-
-        def _write(fh):
-            writer = csv.writer(fh)
-            writer.writerow(["shape"] + [str(mu) for mu in self.partitions])
-            for lam, row in zip(self.partitions, self.values):
-                writer.writerow([str(lam)] + [int(v) for v in row])
-
-        if hasattr(target, "write"):
-            _write(target)
-        else:
-            with open(target, "w", encoding="utf-8", newline="") as fh:
-                _write(fh)
 
 
 @cache

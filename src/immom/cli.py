@@ -215,29 +215,21 @@ def _sampling_setup(args):
 # formula subcommands
 
 
-def _closed_form(args, kind, label, f, lam=None, n=None, half_power=1, power=None,
+def _closed_form(args, kind, label, f, lam=None, n=None, power=None,
                  wall_time_s=None):
     """Emit the closed form f of kind and its value at --d; the text names
     the shape lam in its label, or else the block size n after the formula.
 
-    A 2t-th moment with t = half_power >= 2 comes from a unitary integral
-    whose derivation assumes d >= t*n; evaluated below that, the value is
-    the rational continuation of the formula, and a note says so.
+    At every d >= n a moment's closed form is the moment itself, the fourth
+    moments included (moments states the proof), so no value needs a note.
     """
-    bound = half_power * (n if lam is None else lam.n)
-    warnings = None
-    if half_power >= 2 and args.d is not None and args.d < bound:
-        warnings = [f"d = {args.d} is below {bound} = {half_power}*n: the derivation of "
-                    f"this formula assumed d >= {half_power}*n, so the evaluated value is "
-                    "the rational continuation of the closed form"]
     payload = report(kind, lam=lam, n=n, value=f, d=args.d, wall_time_s=wall_time_s,
-                     power=power, warnings=warnings)
+                     power=power)
     lines = [f"{label} = {f.to_display()}" + ("" if lam is not None else f"  (n = {n})")]
     if args.d is not None:
         lines.append(f"at d = {args.d}: {payload['value']}")
     if wall_time_s is not None:
         lines.append(f"computed in {wall_time_s:.3f} s")
-    lines += [f"note: {w}" for w in warnings or ()]
     _emit(args, lines, payload)
     return 0
 
@@ -254,7 +246,7 @@ def _cmd_second_moment(args):
     t0 = time.perf_counter()
     f = second_moment(lam, limit=args.limit_override)
     return _closed_form(args, "second_moment", f"E|Imm^({lam}) M|^4", f, lam=lam,
-                        half_power=2, wall_time_s=time.perf_counter() - t0)
+                        wall_time_s=time.perf_counter() - t0)
 
 
 def _cmd_leading(args):
@@ -275,13 +267,13 @@ def _cmd_det_moment(args):
     _check_dimension(args.d, args.n)
     return _closed_form(args, "determinant_moment", f"E|det M|^{args.power}",
                         det_moment(args.n, args.power // 2), n=args.n,
-                        half_power=args.power // 2, power=args.power)
+                        power=args.power)
 
 
 def _cmd_perm_conjecture(args):
     _check_dimension(args.d, args.n)
     return _closed_form(args, "permanent_fourth_conjecture", "conjectured E|perm M|^4",
-                        perm_fourth_conjecture(args.n), n=args.n, half_power=2, power=4)
+                        perm_fourth_conjecture(args.n), n=args.n, power=4)
 
 
 def _cmd_wg(args):

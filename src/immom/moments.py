@@ -10,11 +10,20 @@ products eps_A pi eps_B gamma over swap sets A, B and pairs pi, gamma in the
 block-diagonal group V, weighted by the product character of lam.  The
 production path (second_moment) computes each A_xi inside the irrep xi, in
 Young's seminormal form modulo primes, recombined against a proven bound
-(see seminormal).  t_histogram gives the sum for one swap pair as a
+(see seminormal).  tsum.t_histogram gives the sum for one swap pair as a
 cycle-type histogram, recovered from the same engine's per-pair
-coefficients by column orthogonality (see tsum); the *_direct functions do
-that job by unreduced enumeration over every swap pair and are kept as
-oracles for small n.
+coefficients by column orthogonality; the *_direct functions do that job
+by unreduced enumeration over every swap pair and are kept as oracles for
+small n.
+
+Each closed form here is the exact moment at every d >= n, not only at
+d >= 2n.  The Weingarten sum over the xi with at most d rows is exact at
+every d (Collins and Sniady, CMP 264 (2006) 773-795), and every nonzero
+A_xi has at most n rows (seminormal: 0 <= A_xi <= 4^n c^2 q, and by
+Young's rule q = rank Q is positive exactly for such xi).  So at d >= n
+that sum is the full one, and N(xi, d) has no zero there.  The same holds
+for det_moment, whose one shape (t^n) has n rows, and for
+perm_fourth_conjecture wherever it equals second_moment((n,)).
 
 The d -> infinity scale of the fourth moment is an integer J(lam), computed
 here by its own factored character sum (j_pair / leading_coefficient), which
@@ -53,11 +62,9 @@ from .symgroup import (
     cycle_keyer,
     embed_pair,
     epsilon,
-    interval,
     marked_orbits,
     theta,
 )
-from .tsum import t_histogram
 # the name under which the benchmark tracer wraps the rational assembly
 from .weingarten import irreducible_sum as _assemble_rational
 
@@ -102,24 +109,7 @@ def perm_fourth_conjecture(n) -> RationalFunction:
 
 
 # ---------------------------------------------------------------------------
-# fourth moment via the swap-pair representatives
-
-
-def representatives(n):
-    """The (multiplicity, A, B) list replacing the full swap-pair double sum.
-
-    A = {1..l} and B = {l-j+1..l+k}; the multiplicity counts how many of
-    the 4^n swap pairs the representative stands for.
-    """
-    reps = []
-    for l in range(n + 1):
-        for j in range(l + 1):
-            for k in range(min(n - l - j, l - j) + 1):
-                zeta = 4 // ((1 + (k == n - l - j)) * (1 + (k == l - j)))
-                mult = comb(n, l) * comb(l, j) * comb(n - l, k) * zeta
-                reps.append((mult, interval(l), interval(l + k, l - j)))
-    assert sum(m for m, _, _ in reps) == 4**n
-    return reps
+# fourth moment
 
 
 @cache

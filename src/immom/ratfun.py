@@ -162,11 +162,6 @@ class RationalFunction:
         return cls(k)
 
     @classmethod
-    def from_fraction(cls, q):
-        q = Fraction(q)
-        return cls(q.numerator, (1,), LinearFactors(scalar=q.denominator))
-
-    @classmethod
     def ratio(cls, numer, den_factors=None, den_scalar=1):
         """numer / (den_scalar * prod (d+c)^m); numer is an int or coeff tuple."""
         poly = (int(numer),) if isinstance(numer, int) else tuple(numer)

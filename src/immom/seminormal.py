@@ -21,7 +21,12 @@ coefficient c^xi_(lam lam) is the multiplicity of lam x lam in xi
 restricted to S_n x S_n.  When it is 0 the isotypic part is empty, so
 P = 0 and A_xi(lam) = 0.  The engine therefore screens each xi before any
 tableau work: xi must contain lam, then r > 0 (projection_rank, from
-characters of S_n and S_2n alone), then q = rank Q > 0 (fixed_rank).  For
+characters of S_n and S_2n alone), then xi must have at most n rows.  The
+last test is q = rank Q > 0: Q projects onto the vectors fixed by the
+Young subgroup S_2^n of the swaps (i, n+i), so by Young's rule q is the
+Kostka number K_(xi, (2^n)), which is positive exactly when xi dominates
+(2^n), that is when xi has at most n rows.  fixed_rank computes q only for
+the xi that pass, for the bound below and the corner count.  For
 lam = (3,2) the r = 0 test removes 9 of the 24 irreps that pass the other
 two, and for (2,1,1,1) 10 of 16.
 
@@ -371,15 +376,6 @@ def _corner_entries(tab, n, action, p):
     return rows, cols, vals
 
 
-def fixed_basis(tab, n, action, p):
-    """C = prod_i (1 + rho(s_(2i))) applied to the unit vectors of the
-    corners, modulo p: a basis of the range of Q'."""
-    rows, cols, vals = _corner_entries(tab, n, action, p)
-    basis = np.zeros((len(tab), len(corners(tab, n))), dtype=np.int64)
-    basis[rows, cols] = vals
-    return basis
-
-
 def _residue(tab, fill, n, scale, p):
     """A_xi(lam) modulo p."""
     action = tab.action(p)
@@ -437,8 +433,9 @@ def coefficient(lam, xi) -> int:
 
 def _coefficient(lam, xi):
     """(A_xi(lam), stage, residues): the stage is the first test that proves
-    A_xi = 0 ("contains", "lr" for r = 0, "q" for q = 0) or "evaluated", and
-    residues the number of primes A_xi was computed modulo."""
+    A_xi = 0 ("contains", "lr" for r = 0, "q" for more than n rows, where
+    q = 0) or "evaluated", and residues the number of primes A_xi was
+    computed modulo."""
     t0 = perf_counter()
     n = lam.n
     if not _contains(lam, xi):
@@ -446,9 +443,10 @@ def _coefficient(lam, xi):
     r = projection_rank(lam, xi)
     if r == 0:
         return 0, "lr", 0
-    q = fixed_rank(xi, n)
-    if q == 0:
+    # q = rank Q is positive exactly when xi has at most n rows
+    if len(xi) > n:
         return 0, "q", 0
+    q = fixed_rank(xi, n)
     tab = tableaux(xi.parts)
     if len(corners(tab, n)) != q:
         raise ArithmeticError(f"{xi}: the corner tableaux miss the fixed rank {q}")

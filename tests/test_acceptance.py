@@ -33,7 +33,6 @@ from immom.moments import (
     perm_fourth_conjecture,
     second_moment,
     second_moment_direct,
-    t_histogram,
     t_histogram_direct,
 )
 from immom.partitions import (
@@ -46,6 +45,7 @@ from immom.partitions import (
 from immom.ratfun import RationalFunction as R
 from immom.sampler import estimate_moment, estimate_monomial, moment_scan
 from immom.symgroup import all_subsets
+from immom.tsum import t_histogram
 from immom.weingarten import monomial_integral, weingarten
 
 

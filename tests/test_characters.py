@@ -6,7 +6,6 @@ the convolution identity verified by brute force over group elements,
 and dimension consistency with the hook formula.
 """
 
-import io
 import time
 from math import factorial
 
@@ -221,32 +220,6 @@ def test_table_values_frozen():
 
 def test_table_cached():
     assert character_table(6) is character_table(6)
-
-
-def test_to_csv_round_trip():
-    import csv
-
-    t = character_table(4)
-    buf = io.StringIO()
-    t.to_csv(buf)
-    rows = list(csv.reader(io.StringIO(buf.getvalue())))
-    ps = partition_list(4)
-    assert rows[0] == ["shape"] + [str(mu) for mu in ps]
-    assert len(rows) == len(ps) + 1
-    for row, lam in zip(rows[1:], ps):
-        assert row[0] == str(lam)
-        assert [int(x) for x in row[1:]] == list(t.row(lam))
-
-
-def test_to_csv_path(tmp_path):
-    import csv
-
-    target = tmp_path / "chars.csv"
-    character_table(3).to_csv(target)
-    with open(target, newline="") as fh:
-        rows = list(csv.reader(fh))
-    assert rows[0] == ["shape", "3", "2,1", "1,1,1"]
-    assert rows[2] == ["2,1", "-1", "0", "2"]
 
 
 def test_character_row_is_the_table_row():

@@ -19,8 +19,10 @@ from immom.cli import main, rational_payload, report
 from immom.moments import (
     LEADING_LIMIT,
     SECOND_MOMENT_LIMIT,
+    det_moment,
     leading_coefficient,
     mean,
+    perm_fourth_conjecture,
     second_moment,
 )
 from immom.partitions import Partition
@@ -80,16 +82,22 @@ def test_second_moment_json(capsys):
     assert "warnings" not in payload
 
 
-def test_second_moment_regime_warning(capsys):
-    # evaluation below twice the block size is flagged as a continuation
-    code, payload = run_json(capsys, "second-moment", "2", "--d", "3")
-    assert code == 0
-    assert len(payload["warnings"]) == 1
-    assert "continuation" in payload["warnings"][0]
-
-    code, payload = run_json(capsys, "second-moment", "2", "--d", "4")
-    assert code == 0
-    assert "warnings" not in payload
+def test_closed_forms_below_twice_n_carry_no_note(capsys):
+    # at n <= d < 2n each closed form is the moment itself, not a
+    # continuation, so neither the JSON nor the text carries a note
+    cases = [(("second-moment", "2", "--d", "3"), second_moment((2,)), 3),
+             (("det-moment", "2", "--power", "4", "--d", "2"), det_moment(2, 2), 2),
+             (("perm-conjecture", "3", "--d", "3"), perm_fourth_conjecture(3), 3)]
+    for argv, exact, d in cases:
+        q = exact.evaluate(d)
+        code, payload = run_json(capsys, *argv)
+        assert code == 0
+        assert "warnings" not in payload
+        assert payload["value"] == f"{q.numerator}/{q.denominator}"
+        code, out, err = run(capsys, *argv)
+        assert code == 0 and err == ""
+        assert "note:" not in out
+        assert f"at d = {d}: {q.numerator}/{q.denominator}\n" in out
 
 
 def test_leading_json(capsys):

@@ -34,10 +34,8 @@ from immom.moments import (
     mean,
     mean_dominance_check,
     perm_fourth_conjecture,
-    representatives,
     second_moment,
     second_moment_direct,
-    t_histogram,
     t_histogram_direct,
 )
 from immom.partitions import (
@@ -50,6 +48,7 @@ from immom.partitions import (
 )
 from immom.ratfun import RationalFunction as R
 from immom.symgroup import Permutation, all_permutations, all_subsets, interval, theta
+from immom.tsum import t_histogram
 from immom.weingarten import monomial_integral
 
 
@@ -351,6 +350,24 @@ def test_second_moment_row_of_eight_is_the_permanent_conjecture():
 # the character-side engine against its per-swap-pair form
 
 
+def representatives(n):
+    """The (multiplicity, A, B) list replacing the full swap-pair double sum.
+
+    A = {1..l} and B = {l-j+1..l+k}; the multiplicity counts how many of
+    the 4^n swap pairs the representative stands for.
+    """
+    reps = []
+    for l in range(n + 1):
+        for j in range(l + 1):
+            for k in range(min(n - l - j, l - j) + 1):
+                zeta = 4 // ((1 + (k == n - l - j)) * (1 + (k == l - j)))
+                mult = comb(n, l) * comb(l, j) * comb(n - l, k) * zeta
+                reps.append((mult, interval(l), interval(l + k, l - j)))
+    assert sum(m for m, _, _ in reps) == 4**n
+    return reps
+
+
+@cache
 def _summed_pair_coefficients(lam):
     """A_xi as the multiplicity-weighted sum of the per-pair A_xi(A, B)
     over the swap-pair representatives."""
@@ -369,6 +386,19 @@ def test_class_coefficients_match_the_enumeration_kernel():
     for n in range(1, 5):
         for lam in partition_list(n):
             assert _class_coefficients(lam) == _summed_pair_coefficients(lam), lam
+
+
+def test_fourth_moment_is_the_sum_over_irreps_with_at_most_d_rows():
+    # the Weingarten sum over l(xi) <= d is exact at every d (Collins and
+    # Sniady); the per-pair route screens no xi by its length, and below
+    # d = 2n the restricted sum still equals the closed form
+    for n in range(1, 5):
+        for lam in partition_list(n):
+            coeffs = _summed_pair_coefficients(lam)
+            for d in range(n, 2 * n):
+                want = sum(R.ratio(a, unitary_numerator(xi), den_scalar=hook_product(xi))
+                           .evaluate(d) for xi, a in coeffs.items() if len(xi) <= d)
+                assert second_moment(lam).evaluate(d) == want, (lam, d)
 
 
 def _every_xi_evaluated(monkeypatch):

@@ -450,6 +450,14 @@ def test_estimate_at_large_d_matches_exact_fourth_moment():
     assert abs(est.real - exact) <= 5 * est.stderr
 
 
+def test_estimate_at_d_equal_n_matches_exact_fourth_moment():
+    # the closed form is the moment itself at n <= d < 2n, not a continuation
+    lam, d = (3, 1), 4
+    exact = float(second_moment(lam).evaluate(d))
+    est = estimate_moment(lam, d, 4, samples=10**5, seed=2604)
+    assert abs(est.real - exact) <= 5 * est.stderr
+
+
 def test_each_estimate_logs_one_debug_line(caplog):
     with caplog.at_level(logging.DEBUG, logger="immom.sampler"):
         estimate_moment((2, 1), 6, 2, samples=CHUNK + 1, seed=5)

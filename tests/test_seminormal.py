@@ -4,8 +4,9 @@ The engine's coefficients are checked against the enumeration kernel in
 test_moments; these tests check the pieces they rest on: the tableau
 tables, that the two-term row updates define a representation with the
 stated character and invariant form, the corner basis of the fixed space
-of Q, the rank of P that screens out irreps before any tableau work, and
-the adjacent-transposition words.  The fast kernels (the in-place row
+of Q and its rank (positive exactly for xi with at most n rows), the rank
+of P that screens out irreps before any tableau work, and the
+adjacent-transposition words.  The fast kernels (the in-place row
 update, the sparse corner basis, the tabulated form and the recursive row
 words) are each checked against a plain dense or letter-by-letter
 reference kept here.
@@ -21,10 +22,10 @@ from immom.characters import character
 from immom.partitions import conjugate, dim_symmetric, partition_list
 from immom.seminormal import (
     _apply,
+    _corner_entries,
     _fractions,
     _gram,
     corners,
-    fixed_basis,
     fixed_rank,
     interleave,
     primes,
@@ -95,6 +96,23 @@ def test_traces_are_the_characters():
                 assert int(np.trace(cycle)) % P == character(xi, mu) % P, (xi, mu)
                 if length < m:
                     cycle = cycle @ rho[length - 1] % P
+
+
+def fixed_basis(tab, n, action, p):
+    """C = prod_i (1 + rho(s_(2i))) applied to the unit vectors of the
+    corners, modulo p, scattered dense from the engine's sparse entries."""
+    rows, cols, vals = _corner_entries(tab, n, action, p)
+    basis = np.zeros((len(tab), len(corners(tab, n))), dtype=np.int64)
+    basis[rows, cols] = vals
+    return basis
+
+
+def test_fixed_rank_is_positive_exactly_for_at_most_n_rows():
+    # q = K_(xi, (2^n)) by Young's rule, positive iff xi dominates (2^n),
+    # which is the engine's length screen
+    for n in range(1, 8):
+        for xi in partition_list(2 * n):
+            assert (fixed_rank(xi, n) > 0) == (len(xi) <= n), xi
 
 
 def test_corner_tableaux_span_the_fixed_space_with_a_diagonal_gram():
