@@ -116,8 +116,8 @@ def rational_payload(f: RationalFunction) -> dict:
     return {
         "prefactor": f.prefactor,
         "numerator_coeffs": list(f.numer),
-        "denominator_scalar": f.den.scalar,
-        "denominator_factors": [[c, m] for c, m in f.den.factors.items()],
+        "denominator_scalar": f.scalar,
+        "denominator_factors": [[c, m] for c, m in f.factors.items()],
     }
 
 

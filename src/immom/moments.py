@@ -141,8 +141,9 @@ def second_moment(lam, workers=1, limit=None) -> RationalFunction:
 _DIRECT_LIMIT = 3
 
 
+@cache
 def _weighted_pairs(lam):
-    lam = as_partition(lam)
+    """Every (p (+) q, chi(p) chi(q)) for p, q in S_n, built once per shape."""
     n = lam.n
     out = []
     for p in all_permutations(n):
@@ -150,7 +151,7 @@ def _weighted_pairs(lam):
         for q in all_permutations(n):
             w = cp * character_of(lam, q)
             out.append((embed_pair(p, q), w))
-    return out
+    return tuple(out)
 
 
 def t_histogram_direct(lam, A, B):
@@ -204,7 +205,7 @@ def _classes(n, l, k):
     """Class index of theta(l, k) composed with a (+) c, for a and c the
     orbit representatives of marked_orbits(l, k) and marked_orbits(n - l, k)
     (the k marked points are the ones theta moves on each side), as a
-    read-only uint8 array with the smaller group's side on rows.  It has one
+    read-only uint8 array with S_l's side on rows.  It has one
     entry per pair of orbits, not per pair of permutations: 1 x 67 at
     n = 10, l = 1, k = 1 where all of S_1 x S_9 has 362880 pairs.
 
@@ -221,8 +222,6 @@ def _classes(n, l, k):
     combined[:, :, l:] = y_side[None, :, :]
     cls = cycle_keyer(n)(th[combined].reshape(len(x_side) * len(y_side), n))
     cls = cls.reshape(len(x_side), len(y_side))
-    if l > n - l:
-        cls = np.ascontiguousarray(cls.T)
     cls.flags.writeable = False
     return cls
 
@@ -235,7 +234,10 @@ def j_pair(lam, l, k) -> int:
     theta(l,k) composed with the block permutation x (+) y.  Collapsing the
     sums over the larger side first turns it into the sum of squares of an
     integer Gram matrix on the smaller side (the two sums of squares are
-    equal).
+    equal).  Relabelling the points so that the two blocks trade places
+    turns theta(l, k) into theta(n - l, k) and transposes F, so j_pair is
+    the same at l and n - l; l is reduced to min(l, n - l) on entry, which
+    puts the smaller side S_l on rows.
 
     If h in S_l and g in S_(n-l) fix the k points theta moves on their
     sides, h (+) g commutes with theta, so F[h x h^-1, y] = F[x, g y g^-1]
@@ -259,13 +261,12 @@ def j_pair(lam, l, k) -> int:
     t0 = perf_counter()
     lam = as_partition(lam)
     n = lam.n
+    l = min(l, n - l)
     cls = _classes(n, l, k)
     w, v = marked_orbits(l, k)[1], marked_orbits(n - l, k)[1]
-    if l > n - l:
-        w, v = v, w
     chi_row = character_row(lam)
     chimax = int(np.abs(chi_row).max())
-    contraction = factorial(max(l, n - l))
+    contraction = factorial(n - l)
     bound = contraction * chimax * chimax
     F = chi_row[cls]
     if bound >= _INT64_LIMIT:

@@ -1,20 +1,29 @@
 """Exact rational functions of one variable d with factored denominators.
 
-Every quantity this package derives is (integer prefactor) * (primitive
-integer polynomial in d) / (positive integer * product of (d + c)^m).  The
-canonical form keeps the polynomial content-free with positive leading
-coefficient, cancels denominator factors into the numerator by exact trial
-division only, and reduces gcd(prefactor, denominator scalar), so equal
-values compare equal structurally.
+Every quantity this package derives is one RationalFunction, held in the
+canonical form
+
+    prefactor * numer / (scalar * prod over c of (d + c)^factors[c])
+
+in four slots: an integer prefactor, a primitive integer polynomial numer
+(little-endian coefficients, positive leading coefficient), a positive
+integer scalar and a dict factors of offset -> multiplicity.  Denominator
+factors cancel into the numerator by exact trial division only, and
+gcd(prefactor, scalar) is reduced, so equal values compare equal slot by
+slot.
 
 A small parser accepts the text grammar (integers, d, + - * / ^ and
 parentheses); the machine format always writes explicit '*', while the
 display format may juxtapose factors and regroup (d+c)(d-c) as (d^2-c^2).
-The parser accepts both, so display output round-trips.
+The parser accepts both, so display output round-trips.  One regular
+expression splits the text into unsigned integers and single characters;
+a unary minus is a factor, so it binds tighter than * and / but looser
+than ^ (-d^2 is -(d^2)).
 """
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from math import gcd, lcm
 
@@ -95,62 +104,20 @@ def _poly_pow_linear(c, m):
 # ---------------------------------------------------------------------------
 
 
-class LinearFactors:
-    """A product scalar * prod (d + offset)^multiplicity, scalar >= 1."""
+class RationalFunction:
+    """An immutable rational function of d in the canonical form above."""
 
-    __slots__ = ("scalar", "factors")
+    __slots__ = ("prefactor", "numer", "scalar", "factors")
 
-    def __init__(self, factors=None, scalar=1):
+    def __init__(self, prefactor, numer=(1,), factors=None, scalar=1):
         if scalar <= 0:
             raise ValueError("scalar must be positive")
-        clean: dict[int, int] = {}
-        for off, mult in sorted((factors or {}).items()):
-            if mult < 0:
-                raise ValueError("negative multiplicity")
-            if mult:
-                clean[int(off)] = int(mult)
-        object.__setattr__(self, "scalar", int(scalar))
-        object.__setattr__(self, "factors", clean)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("LinearFactors is immutable")
-
-    def degree(self):
-        return sum(self.factors.values())
-
-    def evaluate(self, x):
-        acc = Fraction(self.scalar)
-        for off, mult in self.factors.items():
-            acc *= Fraction(x + off) ** mult
-        return acc
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, LinearFactors)
-            and self.scalar == other.scalar
-            and self.factors == other.factors
-        )
-
-    def __hash__(self):
-        return hash((self.scalar, tuple(self.factors.items())))
-
-    def __repr__(self):
-        return f"LinearFactors({self.factors}, scalar={self.scalar})"
-
-
-class RationalFunction:
-    """Canonical prefactor * polynomial / LinearFactors form."""
-
-    __slots__ = ("prefactor", "numer", "den")
-
-    def __init__(self, prefactor, numer=(1,), den=None):
-        den = den if den is not None else LinearFactors()
-        pref, poly, scalar, factors = _canonicalize(
-            int(prefactor), tuple(numer), den.scalar, dict(den.factors)
-        )
-        object.__setattr__(self, "prefactor", pref)
-        object.__setattr__(self, "numer", poly)
-        object.__setattr__(self, "den", LinearFactors(factors, scalar))
+        factors = {int(c): int(m) for c, m in (factors or {}).items()}
+        if any(m < 0 for m in factors.values()):
+            raise ValueError("negative multiplicity")
+        slots = _canonicalize(int(prefactor), tuple(numer), int(scalar), factors)
+        for name, value in zip(self.__slots__, slots):
+            object.__setattr__(self, name, value)
 
     def __setattr__(self, name, value):
         raise AttributeError("RationalFunction is immutable")
@@ -165,7 +132,7 @@ class RationalFunction:
     def ratio(cls, numer, den_factors=None, den_scalar=1):
         """numer / (den_scalar * prod (d+c)^m); numer is an int or coeff tuple."""
         poly = (int(numer),) if isinstance(numer, int) else tuple(numer)
-        return cls(1, poly, LinearFactors(den_factors or {}, den_scalar))
+        return cls(1, poly, den_factors, den_scalar)
 
     # -- predicates --------------------------------------------------------
 
@@ -175,33 +142,31 @@ class RationalFunction:
     # -- arithmetic --------------------------------------------------------
 
     def __neg__(self):
-        return RationalFunction(-self.prefactor, self.numer, self.den)
+        return RationalFunction(-self.prefactor, self.numer, self.factors, self.scalar)
 
     def __add__(self, other):
         if isinstance(other, int):
             other = RationalFunction.from_integer(other)
         if not isinstance(other, RationalFunction):
             return NotImplemented
-        s = lcm(self.den.scalar, other.den.scalar)
-        offs = set(self.den.factors) | set(other.den.factors)
-        mults = {c: max(self.den.factors.get(c, 0), other.den.factors.get(c, 0)) for c in offs}
+        s = lcm(self.scalar, other.scalar)
+        offs = set(self.factors) | set(other.factors)
+        mults = {c: max(self.factors.get(c, 0), other.factors.get(c, 0)) for c in offs}
 
         def lifted(f):
-            p = _poly_scale(f.numer, f.prefactor * (s // f.den.scalar))
+            p = _poly_scale(f.numer, f.prefactor * (s // f.scalar))
             for c, m in mults.items():
-                extra = m - f.den.factors.get(c, 0)
+                extra = m - f.factors.get(c, 0)
                 if extra:
                     p = _poly_mul(p, _poly_pow_linear(c, extra))
             return p
 
-        return RationalFunction(1, _poly_add(lifted(self), lifted(other)), LinearFactors(mults, s))
+        return RationalFunction(1, _poly_add(lifted(self), lifted(other)), mults, s)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        if isinstance(other, int):
-            other = RationalFunction.from_integer(other)
-        if not isinstance(other, RationalFunction):
+        if not isinstance(other, (int, RationalFunction)):
             return NotImplemented
         return self + (-other)
 
@@ -211,17 +176,19 @@ class RationalFunction:
             return RationalFunction(
                 self.prefactor * q.numerator,
                 self.numer,
-                LinearFactors(self.den.factors, self.den.scalar * q.denominator),
-            ) if q else RationalFunction(0)
+                self.factors,
+                self.scalar * q.denominator,
+            )
         if not isinstance(other, RationalFunction):
             return NotImplemented
-        merged = dict(self.den.factors)
-        for c, m in other.den.factors.items():
+        merged = dict(self.factors)
+        for c, m in other.factors.items():
             merged[c] = merged.get(c, 0) + m
         return RationalFunction(
             self.prefactor * other.prefactor,
             _poly_mul(self.numer, other.numer),
-            LinearFactors(merged, self.den.scalar * other.den.scalar),
+            merged,
+            self.scalar * other.scalar,
         )
 
     __rmul__ = __mul__
@@ -231,17 +198,19 @@ class RationalFunction:
     def evaluate(self, d):
         """Exact value at d (int or Fraction); raises ValueError at a pole."""
         x = Fraction(d)
-        for off in self.den.factors:
+        den = Fraction(self.scalar)
+        for off, mult in self.factors.items():
             if x + off == 0:
                 raise ValueError(f"pole at d = {d} (factor {_linear(off)})")
-        return Fraction(self.prefactor) * _poly_eval(self.numer, x) / self.den.evaluate(x)
+            den *= (x + off) ** mult
+        return Fraction(self.prefactor) * _poly_eval(self.numer, x) / den
 
     def leading_asymptotics(self):
         """(coefficient, power) with f(d) ~ coefficient / d**power as d -> oo."""
         if self.is_zero():
             raise ValueError("zero function has no asymptotic scale")
-        coeff = Fraction(self.prefactor * self.numer[-1], self.den.scalar)
-        return coeff, self.den.degree() - (len(self.numer) - 1)
+        coeff = Fraction(self.prefactor * self.numer[-1], self.scalar)
+        return coeff, sum(self.factors.values()) - (len(self.numer) - 1)
 
     # -- comparisons -------------------------------------------------------
 
@@ -250,11 +219,12 @@ class RationalFunction:
             isinstance(other, RationalFunction)
             and self.prefactor == other.prefactor
             and self.numer == other.numer
-            and self.den == other.den
+            and self.scalar == other.scalar
+            and self.factors == other.factors
         )
 
     def __hash__(self):
-        return hash((self.prefactor, self.numer, self.den))
+        return hash((self.prefactor, self.numer, self.scalar, tuple(self.factors.items())))
 
     def __repr__(self):
         return f"<RationalFunction {self.to_machine()}>"
@@ -341,9 +311,9 @@ def _base(c):
     return _linear(c) if c == 0 else f"({_linear(c)})"
 
 
-def _den_pieces(den):
+def _den_pieces(factors):
     pieces = []
-    factors = dict(den.factors)
+    factors = dict(factors)
     if 0 in factors:
         pieces.append((_base(0), factors.pop(0)))
     for c in sorted(k for k in factors if k > 0):
@@ -365,29 +335,23 @@ def _format(f, machine):
     if f.is_zero():
         return "0"
     star = "*" if machine else " "
-    num_parts = []
-    pref = f.prefactor
+    pref, poly = f.prefactor, f"({_format_poly(f.numer, machine)})"
     if f.numer == (1,):
-        num_parts.append(str(pref))
+        num = str(pref)
+    elif pref == 1:
+        num = poly
+    elif pref == -1 and not machine:
+        num = f"-{poly}"
     else:
-        if pref == -1:
-            num_parts.append("-1" if machine else "-")
-        elif pref != 1:
-            num_parts.append(str(pref))
-        num_parts.append(f"({_format_poly(f.numer, machine)})")
-    if not machine and num_parts and num_parts[0] == "-":
-        num = "-" + num_parts[1]
-    else:
-        num = star.join(num_parts)
-    den = f.den
-    if den.scalar == 1 and not den.factors:
+        num = f"{pref}{star}{poly}"
+    if f.scalar == 1 and not f.factors:
         return num
-    den_parts = [] if den.scalar == 1 else [str(den.scalar)]
+    den_parts = [] if f.scalar == 1 else [str(f.scalar)]
     if machine:
-        for c in sorted(den.factors):
-            den_parts.append(_format_factor(_base(c), den.factors[c]))
+        for c in sorted(f.factors):
+            den_parts.append(_format_factor(_base(c), f.factors[c]))
     else:
-        for base, mult in _den_pieces(den):
+        for base, mult in _den_pieces(f.factors):
             den_parts.append(_format_factor(base, mult))
     den_text = star.join(den_parts)
     if len(den_parts) > 1:
@@ -398,27 +362,18 @@ def _format(f, machine):
 # ---------------------------------------------------------------------------
 # parsing
 
+# one token per match: an unsigned integer or any other non-space character
+_TOKEN = re.compile(r"\s*(?:(\d+)|(\S))")
+
 
 class _Tokens:
     def __init__(self, text):
         self.toks = []
-        i = 0
-        while i < len(text):
-            ch = text[i]
-            if ch.isspace():
-                i += 1
-            elif ch.isdigit():
-                j = i
-                while j < len(text) and text[j].isdigit():
-                    j += 1
-                self.toks.append(("int", int(text[i:j])))
-                i = j
-            elif ch == "d":
-                self.toks.append(("d", None))
-                i += 1
-            elif ch in "+-*/^()":
+        for digits, ch in _TOKEN.findall(text):
+            if digits:
+                self.toks.append(("int", int(digits)))
+            elif ch in "d+-*/^()":
                 self.toks.append((ch, None))
-                i += 1
             else:
                 raise ValueError(f"bad character {ch!r} in rational function text")
         self.pos = 0
@@ -427,9 +382,11 @@ class _Tokens:
         return self.toks[self.pos][0] if self.pos < len(self.toks) else None
 
     def take(self):
-        tok = self.toks[self.pos]
+        """The next token, or (None, None) at the end of the text."""
+        if self.pos == len(self.toks):
+            return None, None
         self.pos += 1
-        return tok
+        return self.toks[self.pos - 1]
 
 
 def _parse(text):
@@ -441,13 +398,7 @@ def _parse(text):
 
 
 def _parse_expr(toks):
-    negate = False
-    if toks.peek() == "-":
-        toks.take()
-        negate = True
     num, den = _parse_term(toks)
-    if negate:
-        num = _poly_neg(num)
     while toks.peek() in ("+", "-"):
         op = toks.take()[0]
         n2, d2 = _parse_term(toks)
@@ -482,10 +433,9 @@ def _parse_factor(toks):
     num, den = _parse_atom(toks)
     while toks.peek() == "^":
         toks.take()
-        neg = False
-        if toks.peek() == "-":
+        neg = toks.peek() == "-"
+        if neg:
             toks.take()
-            neg = True
         kind, val = toks.take()
         if kind != "int":
             raise ValueError("exponent must be an integer")
@@ -499,16 +449,15 @@ def _parse_factor(toks):
 
 
 def _parse_atom(toks):
-    kind, val = toks.take() if toks.peek() is not None else (None, None)
+    kind, val = toks.take()
     if kind == "int":
         return (val,), (1,)
     if kind == "d":
         return (0, 1), (1,)
     if kind == "(":
         num, den = _parse_expr(toks)
-        if toks.peek() != ")":
+        if toks.take()[0] != ")":
             raise ValueError("unbalanced parentheses")
-        toks.take()
         return num, den
     if kind == "-":
         num, den = _parse_factor(toks)
@@ -541,23 +490,17 @@ def _ratio_to_canonical(num, den):
     if den == (0,):
         raise ValueError("zero denominator")
     content = _poly_content(den)
-    scalar, den = abs(content), tuple(c // content for c in den)
-    sign = 1
+    p = tuple(c // content for c in den)
     factors: dict[int, int] = {}
-    if content < 0:
-        sign = -1
-    p = den
     while len(p) > 1:
-        root_found = False
         for r in _root_candidates(p[0]):
             q = _poly_div_linear(p, -r)  # root r means factor (d - r), offset -r
             if q is not None:
                 factors[-r] = factors.get(-r, 0) + 1
                 p = q
-                root_found = True
                 break
-        if not root_found:
+        else:
             raise ValueError("denominator does not factor into integer linear terms")
     # whatever remains is the constant 1 for a monic primitive polynomial
     assert p == (1,)
-    return RationalFunction(sign, num, LinearFactors(factors, scalar))
+    return RationalFunction(1 if content > 0 else -1, num, factors, abs(content))

@@ -14,7 +14,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from immom.ratfun import LinearFactors, RationalFunction
+from immom.cli import rational_payload
+from immom.ratfun import RationalFunction
 
 R = RationalFunction
 
@@ -87,6 +88,17 @@ def test_immutability():
     f = R.from_integer(1)
     with pytest.raises(AttributeError):
         f.prefactor = 2
+    g = R.ratio(1, {1: 1}, 2)
+    for name in ("scalar", "factors"):
+        with pytest.raises(AttributeError):
+            setattr(g, name, 1)
+
+
+def test_ratio_rejects_bad_denominators():
+    with pytest.raises(ValueError, match="^negative multiplicity$"):
+        R.ratio(1, {0: -1})
+    with pytest.raises(ValueError, match="^scalar must be positive$"):
+        R.ratio(1, den_scalar=0)
 
 
 def test_zero():
@@ -246,6 +258,15 @@ def test_round_trip_random(f):
     assert R.parse(f.to_display()) == f
 
 
+@settings(max_examples=100)
+@given(ratfun_strategy())
+def test_rational_payload_rebuilds_the_function(f):
+    p = rational_payload(f)
+    rebuilt = R(p["prefactor"], p["numerator_coeffs"], dict(p["denominator_factors"]),
+                p["denominator_scalar"])
+    assert rebuilt == f
+
+
 def test_parse_whitespace_and_signs():
     assert R.parse(" - 6 / ( d * ( d + 1 ) ) ") == R.ratio(-6, {0: 1, 1: 1})
     assert R.parse("d^2 - 1") == R.ratio((-1, 0, 1))
@@ -253,7 +274,8 @@ def test_parse_whitespace_and_signs():
 
 
 def test_parse_rejects_malformed():
-    for bad in ["6 // d", "d**2", "x + 1", "(d", "1 / ", "2^d"]:
+    for bad in ["6 // d", "d**2", "x + 1", "(d", "1 / ", "2^d",
+                "d^", "2^", "(d+1)^", "d^-"]:
         with pytest.raises(ValueError):
             R.parse(bad)
 
