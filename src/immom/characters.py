@@ -11,8 +11,9 @@ rows.
 
 from __future__ import annotations
 
+from collections import Counter
 from functools import cache
-from math import factorial
+from math import factorial, prod
 
 import numpy as np
 
@@ -57,12 +58,7 @@ def character_of(lam, perm) -> int:
 def class_size(mu) -> int:
     """Number of permutations with cycle type mu."""
     mu = as_partition(mu)
-    z = 1
-    counts: dict[int, int] = {}
-    for part in mu.parts:
-        counts[part] = counts.get(part, 0) + 1
-    for part, k in counts.items():
-        z *= part**k * factorial(k)
+    z = prod(part**k * factorial(k) for part, k in Counter(mu.parts).items())
     return factorial(mu.n) // z
 
 

@@ -85,7 +85,7 @@ def det_moment(n, t) -> RationalFunction:
     if t < 0 or n < 1:
         raise ValueError("need n >= 1 and t >= 0")
     if t == 0:
-        return RationalFunction.from_integer(1)
+        return RationalFunction(1)
     block = Partition((t,) * n)
     return RationalFunction.ratio(hook_product(block), unitary_numerator(block))
 

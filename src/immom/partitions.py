@@ -10,9 +10,12 @@ group irrep with highest weight lam.
 
 from __future__ import annotations
 
+from collections import Counter
 from enum import Enum
 from fractions import Fraction
 from functools import cache
+from itertools import accumulate
+from math import factorial, prod
 
 
 class Partition:
@@ -113,22 +116,13 @@ def hooks(lam):
 
 def hook_product(lam) -> int:
     """Product of all hook lengths of lam."""
-    h = 1
-    for row in hooks(lam):
-        for v in row:
-            h *= v
-    return h
+    return prod(v for row in hooks(lam) for v in row)
 
 
 def dim_symmetric(lam) -> int:
     """Dimension n!/H(lam) of the symmetric group irrep labelled by lam."""
     lam = as_partition(lam)
-    fact = 1
-    for i in range(2, lam.n + 1):
-        fact *= i
-    d, r = divmod(fact, hook_product(lam))
-    assert r == 0
-    return d
+    return factorial(lam.n) // hook_product(lam)
 
 
 def unitary_numerator(lam) -> dict[int, int]:
@@ -138,12 +132,7 @@ def unitary_numerator(lam) -> dict[int, int]:
     the given powers.
     """
     lam = as_partition(lam)
-    factors: dict[int, int] = {}
-    for i, p in enumerate(lam.parts):
-        for j in range(p):
-            off = j - i
-            factors[off] = factors.get(off, 0) + 1
-    return factors
+    return Counter(j - i for i, p in enumerate(lam.parts) for j in range(p))
 
 
 def dim_unitary(lam, d):
@@ -178,20 +167,12 @@ def dominates(lam, mu) -> Dominance:
         raise ValueError("dominance needs partitions of the same total")
     if lam.parts == mu.parts:
         return Dominance.EQUAL
-    ge = le = True
-    a = b = 0
-    for i in range(min(len(lam.parts), len(mu.parts))):
-        a += lam.parts[i]
-        b += mu.parts[i]
-        if a < b:
-            ge = False
-        elif a > b:
-            le = False
+    sums = list(zip(accumulate(lam.parts), accumulate(mu.parts)))
     # Once the shorter partition is exhausted its prefix sums are frozen at
-    # the full total, so later positions cannot flip either flag.
-    if ge:
+    # the full total, so later positions cannot flip either comparison.
+    if all(a >= b for a, b in sums):
         return Dominance.GREATER
-    if le:
+    if all(a <= b for a, b in sums):
         return Dominance.LESS
     return Dominance.INCOMPARABLE
 

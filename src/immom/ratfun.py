@@ -18,7 +18,10 @@ display format may juxtapose factors and regroup (d+c)(d-c) as (d^2-c^2).
 The parser accepts both, so display output round-trips.  One regular
 expression splits the text into unsigned integers and single characters;
 a unary minus is a factor, so it binds tighter than * and / but looser
-than ^ (-d^2 is -(d^2)).
+than ^ (-d^2 is -(d^2)).  The parser builds RationalFunction values with
+the class's own arithmetic: a divisor, or a base raised to a negative
+power, must be nonzero, and its numerator must split into integer linear
+factors, which become the factors of the denominator.
 """
 
 from __future__ import annotations
@@ -41,10 +44,6 @@ def _trim(p):
 def _poly_add(a, b):
     n = max(len(a), len(b))
     return _trim(tuple((a[i] if i < len(a) else 0) + (b[i] if i < len(b) else 0) for i in range(n)))
-
-
-def _poly_neg(a):
-    return tuple(-c for c in a)
 
 
 def _poly_mul(a, b):
@@ -125,10 +124,6 @@ class RationalFunction:
     # -- constructors ------------------------------------------------------
 
     @classmethod
-    def from_integer(cls, k):
-        return cls(k)
-
-    @classmethod
     def ratio(cls, numer, den_factors=None, den_scalar=1):
         """numer / (den_scalar * prod (d+c)^m); numer is an int or coeff tuple."""
         poly = (int(numer),) if isinstance(numer, int) else tuple(numer)
@@ -146,7 +141,7 @@ class RationalFunction:
 
     def __add__(self, other):
         if isinstance(other, int):
-            other = RationalFunction.from_integer(other)
+            other = RationalFunction(other)
         if not isinstance(other, RationalFunction):
             return NotImplemented
         s = lcm(self.scalar, other.scalar)
@@ -391,46 +386,42 @@ class _Tokens:
 
 def _parse(text):
     toks = _Tokens(text)
-    num, den = _parse_expr(toks)
+    f = _parse_expr(toks)
     if toks.peek() is not None:
         raise ValueError(f"trailing input in rational function text {text!r}")
-    return _ratio_to_canonical(num, den)
+    return f
 
 
 def _parse_expr(toks):
-    num, den = _parse_term(toks)
+    f = _parse_term(toks)
     while toks.peek() in ("+", "-"):
         op = toks.take()[0]
-        n2, d2 = _parse_term(toks)
-        if op == "-":
-            n2 = _poly_neg(n2)
-        num, den = _poly_add(_poly_mul(num, d2), _poly_mul(n2, den)), _poly_mul(den, d2)
-    return num, den
+        g = _parse_term(toks)
+        f = f + g if op == "+" else f - g
+    return f
 
 
 def _parse_term(toks):
-    num, den = _parse_factor(toks)
+    f = _parse_factor(toks)
     while True:
         nxt = toks.peek()
         if nxt in ("*", "/"):
             op = toks.take()[0]
-            n2, d2 = _parse_factor(toks)
-            if op == "*":
-                num, den = _poly_mul(num, n2), _poly_mul(den, d2)
-            else:
-                if n2 == (0,):
+            g = _parse_factor(toks)
+            if op == "/":
+                if g.is_zero():
                     raise ValueError("division by zero in rational function text")
-                num, den = _poly_mul(num, d2), _poly_mul(den, n2)
+                g = _reciprocal(g)
+            f = f * g
         elif nxt in ("int", "d", "("):
             # juxtaposition, e.g. "4 (d + 1)" or "3d^2" (display form)
-            n2, d2 = _parse_factor(toks)
-            num, den = _poly_mul(num, n2), _poly_mul(den, d2)
+            f = f * _parse_factor(toks)
         else:
-            return num, den
+            return f
 
 
 def _parse_factor(toks):
-    num, den = _parse_atom(toks)
+    f = _parse_atom(toks)
     while toks.peek() == "^":
         toks.take()
         neg = toks.peek() == "-"
@@ -439,29 +430,30 @@ def _parse_factor(toks):
         kind, val = toks.take()
         if kind != "int":
             raise ValueError("exponent must be an integer")
-        pn, pd = (1,), (1,)
+        power = RationalFunction(1)
         for _ in range(val):
-            pn, pd = _poly_mul(pn, num), _poly_mul(pd, den)
-        num, den = (pd, pn) if neg else (pn, pd)
-        if num == (0,) and neg:
-            raise ValueError("zero to a negative power")
-    return num, den
+            power = power * f
+        if neg:
+            if power.is_zero():
+                raise ValueError("zero to a negative power")
+            power = _reciprocal(power)
+        f = power
+    return f
 
 
 def _parse_atom(toks):
     kind, val = toks.take()
     if kind == "int":
-        return (val,), (1,)
+        return RationalFunction(val)
     if kind == "d":
-        return (0, 1), (1,)
+        return RationalFunction(1, (0, 1))
     if kind == "(":
-        num, den = _parse_expr(toks)
+        f = _parse_expr(toks)
         if toks.take()[0] != ")":
             raise ValueError("unbalanced parentheses")
-        return num, den
+        return f
     if kind == "-":
-        num, den = _parse_factor(toks)
-        return _poly_neg(num), den
+        return -_parse_factor(toks)
     raise ValueError(f"unexpected token {kind!r} in rational function text")
 
 
@@ -485,12 +477,10 @@ def _root_candidates(const):
     return out
 
 
-def _ratio_to_canonical(num, den):
-    den = _trim(den)
-    if den == (0,):
-        raise ValueError("zero denominator")
-    content = _poly_content(den)
-    p = tuple(c // content for c in den)
+def _reciprocal(f):
+    """1 / f for a nonzero f: its denominator factors become the numerator,
+    and its primitive numerator must split into integer linear factors."""
+    p = f.numer
     factors: dict[int, int] = {}
     while len(p) > 1:
         for r in _root_candidates(p[0]):
@@ -503,4 +493,8 @@ def _ratio_to_canonical(num, den):
             raise ValueError("denominator does not factor into integer linear terms")
     # whatever remains is the constant 1 for a monic primitive polynomial
     assert p == (1,)
-    return RationalFunction(1 if content > 0 else -1, num, factors, abs(content))
+    numer = (1,)
+    for c, m in f.factors.items():
+        numer = _poly_mul(numer, _poly_pow_linear(c, m))
+    sign = 1 if f.prefactor > 0 else -1
+    return RationalFunction(sign * f.scalar, numer, factors, abs(f.prefactor))

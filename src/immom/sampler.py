@@ -179,8 +179,6 @@ def permanent_batch(M):
     whatever the stack's size and memory layout.
     """
     n = M.shape[-1]
-    if n == 1:
-        return M[:, 0, 0]
     s = 1 << (n - 1)
     width = min(s, _SIGN_BLOCK)
     inner = width.bit_length() - 1  # delta_2 .. delta_(inner+1) vary in a block
@@ -226,8 +224,6 @@ def _merge(stats):
     """Combine per-chunk (count, mean, M2) in the given (chunk) order."""
     n_tot, mean, m2 = 0, 0.0 + 0.0j, 0.0
     for count, cmean, cm2 in stats:
-        if count == 0:
-            continue
         new_n = n_tot + count
         delta = cmean - mean
         mean = mean + delta * (count / new_n)

@@ -106,16 +106,11 @@ log = logging.getLogger(__name__)
 shape_log = logging.getLogger(__name__ + ".shapes")
 
 _INT64_MAX = (1 << 63) - 1
-# the 16 largest primes below 2**25, in descending order (a test re-derives
-# them by trial division)
-_PRIMES = (33554393, 33554383, 33554371, 33554347, 33554341, 33554317, 33554291,
-           33554273, 33554267, 33554249, 33554239, 33554221, 33554201, 33554167,
-           33554159, 33554137)
-
-
-def primes() -> tuple[int, ...]:
-    """The moduli: the largest primes below 2**25, in descending order."""
-    return _PRIMES
+# the moduli: the 16 largest primes below 2**25, in descending order (a test
+# re-derives them by trial division)
+PRIMES = (33554393, 33554383, 33554371, 33554347, 33554341, 33554317, 33554291,
+          33554273, 33554267, 33554249, 33554239, 33554221, 33554201, 33554167,
+          33554159, 33554137)
 
 
 class Tableaux:
@@ -413,7 +408,7 @@ def _crt(residue, bound, label):
     """(v, M, used): v modulo M from residue(p) over the first `used` primes,
     whose product M exceeds bound; ArithmeticError if they run out first."""
     value, modulus, used = 0, 1, 0
-    for p in primes():
+    for p in PRIMES:
         if modulus > bound:
             break
         r = residue(p)

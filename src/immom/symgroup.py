@@ -18,6 +18,7 @@ Permutation.cycle_type stays the scalar reference.
 
 from __future__ import annotations
 
+from collections import Counter
 from functools import cache
 from itertools import permutations as _itertools_permutations, product
 from math import factorial
@@ -205,11 +206,9 @@ def cycle_keyer(m):
     parts_list = partition_list(m)
     radix = m + 1
     depth = m // 2
-    lut = np.full(radix**depth if depth else 1, 255, dtype=np.uint8)
+    lut = np.full(radix**depth, 255, dtype=np.uint8)
     for ci, mu in enumerate(parts_list):
-        counts: dict[int, int] = {}
-        for part in mu.parts:
-            counts[part] = counts.get(part, 0) + 1
+        counts = Counter(mu.parts)
         key = 0
         for t in range(depth, 0, -1):
             f = sum(length * k for length, k in counts.items() if t % length == 0)
@@ -237,11 +236,6 @@ def cycle_keyer(m):
         return out
 
     return classify
-
-
-def interval(hi, lo=0):
-    """The 1-indexed index set {lo+1, ..., hi} (empty when hi <= lo)."""
-    return frozenset(range(lo + 1, hi + 1))
 
 
 def all_subsets(n):

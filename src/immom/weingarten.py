@@ -61,9 +61,6 @@ def monomial_integral(rows, cols, conj_rows, conj_cols, d=None):
     m = len(rows)
     if not (len(cols) == len(conj_rows) == len(conj_cols) == m):
         raise ValueError("index lists must share one length")
-    if m == 0:
-        one = RationalFunction.from_integer(1)
-        return one if d is None else one.evaluate(d)
 
     def matchers(left, right):
         return [

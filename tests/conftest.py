@@ -82,6 +82,11 @@ def naive_unitary_numerator(parts, d):
     )
 
 
+def interval(hi, lo=0):
+    """The 1-indexed index set {lo+1, ..., hi} (empty when hi <= lo)."""
+    return frozenset(range(lo + 1, hi + 1))
+
+
 def random_complex_matrix(rng, n, scale=1.0):
     return scale * (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
 

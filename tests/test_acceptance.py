@@ -195,7 +195,7 @@ def test_criterion_02_companion_misprint_relations():
     published = R.parse(row["fourth"])
     corrected = R.parse(row["fourth_erratum"]["corrected"])
     assert cached_second_moment((2, 1, 1)) == corrected
-    assert corrected == published * R.from_integer(2)
+    assert corrected == published * R(2)
     assert corrected.leading_asymptotics() == (Fraction(3504), 8)
     assert published.leading_asymptotics() == (Fraction(1752), 8)
     assert leading_coefficient((2, 1, 1)) == 3504

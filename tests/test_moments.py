@@ -20,6 +20,7 @@ from math import comb, factorial
 
 import pytest
 
+from conftest import interval
 from immom import moments, seminormal
 from immom.characters import character, character_of
 from immom.moments import (
@@ -47,7 +48,7 @@ from immom.partitions import (
     unitary_numerator,
 )
 from immom.ratfun import RationalFunction as R
-from immom.symgroup import Permutation, all_permutations, all_subsets, interval, theta
+from immom.symgroup import Permutation, all_permutations, all_subsets, theta
 from immom.tsum import t_histogram
 from immom.weingarten import monomial_integral
 
@@ -78,7 +79,7 @@ def test_mean_against_entry_level_integration():
         perms = list(all_permutations(n))
         rows = list(range(1, n + 1))
         for lam in partition_list(n):
-            total = R.from_integer(0)
+            total = R(0)
             for sigma in perms:
                 chi_s = character_of(lam, sigma)
                 if chi_s == 0:
@@ -123,7 +124,7 @@ def test_mean_conjugation_flips_offsets():
 def test_det_moment_examples():
     assert det_moment(1, 1) == R.parse("1 / d")
     assert det_moment(2, 2) == R.parse("12 / (d^2*(d^2 - 1))")
-    assert det_moment(3, 0) == R.from_integer(1)
+    assert det_moment(3, 0) == R(1)
 
 
 def test_det_moment_power_two_matches_column_mean():
@@ -233,7 +234,7 @@ def test_second_moment_against_entry_level_integration_two_symbols():
     perms = list(all_permutations(n))
     rows = list(range(1, n + 1))
     for lam in partition_list(n):
-        total = R.from_integer(0)
+        total = R(0)
         for s1 in perms:
             for s2 in perms:
                 c_plus = character_of(lam, s1) * character_of(lam, s2)
@@ -309,7 +310,7 @@ def test_second_moment_asymptotics_match_leading_coefficient_at_six():
 def test_class_coefficients_recombine_to_second_moment():
     # sum over xi of A_xi / (H(xi) N(xi, d)), recombined here by hand
     for lam in ((2, 1), (2, 2)):
-        total = R.from_integer(0)
+        total = R(0)
         for xi, coeff in seminormal.class_coefficients(lam).items():
             total += R.ratio(coeff, unitary_numerator(xi), den_scalar=hook_product(xi))
         assert total == second_moment(lam), lam
@@ -430,14 +431,14 @@ def test_pair_coefficient_can_be_negative():
 
 def test_engine_refuses_when_the_primes_run_out(monkeypatch):
     lam = (1, 1, 1, 1)
-    p = seminormal.primes()[0]
+    p = seminormal.PRIMES[0]
     c = (factorial(4) // dim_symmetric(lam)) ** 2
     assert 4**4 * c * c > p  # one prime is below the bound of every xi with q > 0
     # and the per-pair bound, on an xi that passes the projection-rank screen
     column, xi = (1,) * 5, (2, 2, 2, 2, 2)
     assert seminormal.projection_rank(column, xi) > 0
     assert 2 * factorial(5) ** 4 * len(seminormal.tableaux(xi)) > p
-    monkeypatch.setattr(seminormal, "primes", lambda: (p,))
+    monkeypatch.setattr(seminormal, "PRIMES", (p,))
     with pytest.raises(ArithmeticError, match="bound"):
         _class_coefficients(lam)
     with pytest.raises(ArithmeticError, match="bound"):
@@ -473,7 +474,7 @@ def test_engine_logs_positive_headroom_per_xi(caplog):
             bound = 4**n * c * c * int(fields["q"])
             least, modulus = 0, 1
             while modulus <= bound:
-                modulus *= seminormal.primes()[least]
+                modulus *= seminormal.PRIMES[least]
                 least += 1
             assert int(fields["primes"]) == least, line
             counts.add(least)

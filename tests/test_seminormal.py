@@ -21,6 +21,7 @@ import numpy as np
 from immom.characters import character
 from immom.partitions import conjugate, dim_symmetric, partition_list
 from immom.seminormal import (
+    PRIMES,
     _apply,
     _corner_entries,
     _fractions,
@@ -28,14 +29,13 @@ from immom.seminormal import (
     corners,
     fixed_rank,
     interleave,
-    primes,
     projection_rank,
     reduced_word,
     tableaux,
 )
 from immom.symgroup import Permutation
 
-P = primes()[0]
+P = PRIMES[0]
 
 
 def _matrices(xi):
@@ -50,7 +50,7 @@ def test_primes_are_the_largest_sixteen_below_2_to_the_25():
     def is_prime(c):
         return c > 1 and all(c % d for d in range(2, isqrt(c) + 1))
 
-    ps = primes()
+    ps = PRIMES
     assert len(ps) == 16 and list(ps) == sorted(ps, reverse=True)
     assert all(is_prime(p) for p in ps)
     # every odd number between the entries and up to 2^25 is composite
@@ -229,7 +229,7 @@ def test_fixed_basis_is_the_letter_by_letter_product():
 def test_form_is_the_pairwise_product():
     # d_T = prod over letters i < j with a = c_T(j) - c_T(i) <= -2 of
     # alpha(a), one pair at a time
-    for p in primes()[:2]:
+    for p in PRIMES[:2]:
         for m in range(1, 11):
             _, alpha = _fractions(m, p)
             for xi in partition_list(m):

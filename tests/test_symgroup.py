@@ -14,6 +14,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from conftest import interval
 from immom.characters import class_size
 from immom.partitions import Partition, partition_index, partition_list
 from immom.symgroup import (
@@ -24,7 +25,6 @@ from immom.symgroup import (
     cycle_keyer,
     embed_pair,
     epsilon,
-    interval,
     marked_orbits,
     permutation_table,
     theta,
@@ -211,13 +211,6 @@ def test_marked_orbits_ends():
 
 # ---------------------------------------------------------------------------
 # index sets
-
-
-def test_interval():
-    assert interval(0) == frozenset()
-    assert interval(3) == {1, 2, 3}
-    assert interval(5, 2) == {3, 4, 5}
-    assert interval(2, 2) == frozenset()
 
 
 def test_all_subsets():

@@ -113,7 +113,7 @@ def test_unbalanced_monomials_vanish():
 
 
 def test_empty_monomial_is_one():
-    assert monomial_integral([], [], [], []) == R.from_integer(1)
+    assert monomial_integral([], [], [], []) == R(1)
 
 
 def test_length_mismatch_rejected():
