@@ -56,10 +56,14 @@ def character_of(lam, perm) -> int:
 
 
 def class_size(mu) -> int:
-    """Number of permutations with cycle type mu."""
-    mu = as_partition(mu)
-    z = prod(part**k * factorial(k) for part, k in Counter(mu.parts).items())
-    return factorial(mu.n) // z
+    """Number of permutations with cycle type mu (cached per cycle type)."""
+    return _class_size(as_partition(mu).parts)
+
+
+@cache
+def _class_size(mu: tuple) -> int:
+    z = prod(part**k * factorial(k) for part, k in Counter(mu).items())
+    return factorial(sum(mu)) // z
 
 
 def character_row(lam) -> np.ndarray:

@@ -11,6 +11,7 @@ group irrep with highest weight lam.
 from __future__ import annotations
 
 from collections import Counter
+from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import cache
@@ -18,10 +19,11 @@ from itertools import accumulate
 from math import factorial, prod
 
 
+@dataclass(frozen=True, slots=True, repr=False)
 class Partition:
     """A weakly decreasing tuple of positive integers (possibly empty)."""
 
-    __slots__ = ("parts",)
+    parts: tuple[int, ...]
 
     def __init__(self, parts=()):
         parts = tuple(int(p) for p in parts)
@@ -30,9 +32,6 @@ class Partition:
         if any(parts[i] < parts[i + 1] for i in range(len(parts) - 1)):
             raise ValueError(f"partition parts must be weakly decreasing: {parts}")
         object.__setattr__(self, "parts", parts)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Partition is immutable")
 
     @property
     def n(self):
@@ -47,12 +46,6 @@ class Partition:
 
     def __getitem__(self, i):
         return self.parts[i]
-
-    def __eq__(self, other):
-        return isinstance(other, Partition) and self.parts == other.parts
-
-    def __hash__(self):
-        return hash(self.parts)
 
     def __repr__(self):
         return f"Partition({list(self.parts)})"

@@ -27,6 +27,7 @@ factors, which become the factors of the denominator.
 from __future__ import annotations
 
 import re
+from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 
@@ -103,10 +104,14 @@ def _poly_pow_linear(c, m):
 # ---------------------------------------------------------------------------
 
 
+@dataclass(frozen=True, slots=True, repr=False)
 class RationalFunction:
     """An immutable rational function of d in the canonical form above."""
 
-    __slots__ = ("prefactor", "numer", "scalar", "factors")
+    prefactor: int
+    numer: tuple[int, ...]
+    scalar: int
+    factors: dict[int, int]
 
     def __init__(self, prefactor, numer=(1,), factors=None, scalar=1):
         if scalar <= 0:
@@ -117,9 +122,6 @@ class RationalFunction:
         slots = _canonicalize(int(prefactor), tuple(numer), int(scalar), factors)
         for name, value in zip(self.__slots__, slots):
             object.__setattr__(self, name, value)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("RationalFunction is immutable")
 
     # -- constructors ------------------------------------------------------
 
@@ -140,9 +142,8 @@ class RationalFunction:
         return RationalFunction(-self.prefactor, self.numer, self.factors, self.scalar)
 
     def __add__(self, other):
-        if isinstance(other, int):
-            other = RationalFunction(other)
-        if not isinstance(other, RationalFunction):
+        other = _coerce(other)
+        if other is None:
             return NotImplemented
         s = lcm(self.scalar, other.scalar)
         offs = set(self.factors) | set(other.factors)
@@ -161,20 +162,12 @@ class RationalFunction:
     __radd__ = __add__
 
     def __sub__(self, other):
-        if not isinstance(other, (int, RationalFunction)):
-            return NotImplemented
-        return self + (-other)
+        other = _coerce(other)
+        return NotImplemented if other is None else self + (-other)
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            q = Fraction(other)
-            return RationalFunction(
-                self.prefactor * q.numerator,
-                self.numer,
-                self.factors,
-                self.scalar * q.denominator,
-            )
-        if not isinstance(other, RationalFunction):
+        other = _coerce(other)
+        if other is None:
             return NotImplemented
         merged = dict(self.factors)
         for c, m in other.factors.items():
@@ -209,15 +202,7 @@ class RationalFunction:
 
     # -- comparisons -------------------------------------------------------
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, RationalFunction)
-            and self.prefactor == other.prefactor
-            and self.numer == other.numer
-            and self.scalar == other.scalar
-            and self.factors == other.factors
-        )
-
+    # the dataclass compares the four slots, but factors is a dict: hash here
     def __hash__(self):
         return hash((self.prefactor, self.numer, self.scalar, tuple(self.factors.items())))
 
@@ -237,6 +222,17 @@ class RationalFunction:
     @classmethod
     def parse(cls, text):
         return _parse(text)
+
+
+def _coerce(other):
+    """other as a RationalFunction if it is one, an int or a Fraction, else
+    None: the one scalar rule of +, - and *."""
+    if isinstance(other, RationalFunction):
+        return other
+    if isinstance(other, (int, Fraction)):
+        q = Fraction(other)
+        return RationalFunction(q.numerator, scalar=q.denominator)
+    return None
 
 
 # ---------------------------------------------------------------------------

@@ -114,12 +114,14 @@ def haar_unitary(d, rng):
 @cache
 def _char_data(parts):
     """The permutations of S_n whose character chi^parts is nonzero, in
-    lexicographic order, and those characters as float64."""
+    lexicographic order, and those characters as float64, both read-only."""
     n = sum(parts)
     perms = permutation_table(n)
     chars = character_row(parts)[cycle_keyer(n)(perms)]
     keep = chars != 0
-    return perms[keep], chars[keep].astype(np.float64)
+    perms, chars = perms[keep], chars[keep].astype(np.float64)
+    perms.flags.writeable = chars.flags.writeable = False
+    return perms, chars
 
 
 def immanant_batch(lam, M):

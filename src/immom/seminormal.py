@@ -154,6 +154,9 @@ class Tableaux:
         exponents = np.zeros((size, m), dtype=np.min_scalar_type(comb(m, 2)))
         for a in range(2, m):
             exponents[:, a] = (drop == a).sum(axis=1)
+        # shared by every caller of the cached tableaux(), so read-only
+        for table in (words, contents, partner, axial, exponents):
+            table.flags.writeable = False
         self.words = words
         self.contents = contents
         self.partner = partner

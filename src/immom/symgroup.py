@@ -19,6 +19,7 @@ Permutation.cycle_type stays the scalar reference.
 from __future__ import annotations
 
 from collections import Counter
+from dataclasses import dataclass
 from functools import cache
 from itertools import permutations as _itertools_permutations, product
 from math import factorial
@@ -31,19 +32,17 @@ from .partitions import Partition, partition_list
 _KEY_BLOCK = 4096  # rows per cycle_keyer block
 
 
+@dataclass(frozen=True, slots=True, repr=False)
 class Permutation:
     """Permutation of {1..m}, stored as a tuple of 0-indexed images."""
 
-    __slots__ = ("img",)
+    img: tuple[int, ...]
 
     def __init__(self, img):
         img = tuple(img)
         if sorted(img) != list(range(len(img))):
             raise ValueError(f"not a permutation of 0..{len(img)-1}: {img}")
         object.__setattr__(self, "img", img)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Permutation is immutable")
 
     @classmethod
     def one_line(cls, images):
@@ -77,12 +76,6 @@ class Permutation:
         for i, j in enumerate(self.img):
             inv[j] = i
         return Permutation(inv)
-
-    def __eq__(self, other):
-        return isinstance(other, Permutation) and self.img == other.img
-
-    def __hash__(self):
-        return hash(self.img)
 
     def __repr__(self):
         return f"Permutation.one_line({list(self.to_one_line())})"

@@ -136,6 +136,31 @@ def test_int_operands():
     assert (a * 2) == 2 * a
 
 
+@pytest.mark.parametrize("c", [3, -2, 0, Fraction(1, 2), Fraction(-7, 3)])
+def test_int_and_fraction_operands_follow_one_rule(c):
+    # +, - and * take an int or a Fraction as the constant function, and
+    # agree with Fraction arithmetic at every d
+    a = R.parse("(d + 2) / (3*d*(d - 1))")
+    const = R(Fraction(c).numerator, scalar=Fraction(c).denominator)
+    for got, want in [(a + c, a + const), (c + a, const + a), (a - c, a - const),
+                      (a * c, a * const), (c * a, const * a)]:
+        assert got == want
+    for d in (2, 5, Fraction(7, 2)):
+        x = a.evaluate(d)
+        assert (a + c).evaluate(d) == x + c
+        assert (a - c).evaluate(d) == x - c
+        assert (a * c).evaluate(d) == x * c
+
+
+def test_other_operands_are_refused():
+    a = R.ratio(1, {0: 1})
+    for other in (0.5, "1", None):
+        for op in (lambda: a + other, lambda: other + a, lambda: a - other,
+                   lambda: other - a, lambda: a * other, lambda: other * a):
+            with pytest.raises(TypeError):
+                op()
+
+
 def test_mul_cancels_against_denominator():
     a = R.ratio(1, {0: 1, 1: 1})      # 1/(d(d+1))
     b = R.ratio((0, 1))                # the polynomial d
