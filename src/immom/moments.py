@@ -196,7 +196,7 @@ def second_moment_direct(lam) -> RationalFunction:
 # leading coefficients
 
 
-# G = (F v) F^T runs in int64 when contraction * max|chi|^2 is below this
+# j_pair's G = (F v) F^T and w (G * G) w run in int64 when their bounds are below this
 _INT64_LIMIT = 2**63
 
 
@@ -252,11 +252,13 @@ def j_pair(lam, l, k) -> int:
     entry of G, and every partial sum of it, is at most the contracted
     group's order times max|chi|^2 in absolute value (the sizes v sum to
     it), so G is computed in int64 when that bound is below 2^63 and in
-    Python integers otherwise; the weighted sum of squares is taken in
-    Python integers.  Either way it is exact.  F is gathered from one
-    character row (characters.character_row), not the whole table.  A DEBUG
-    log line, written after the Gram, reports the orbit table's shape, the
-    bits of headroom and the call's seconds.
+    Python integers otherwise.  The sizes w sum to l!, so every partial sum
+    of w (G * G) w lies in [0, (l! bound)^2], and the same rule picks its
+    arithmetic.  Either way it is exact.  F is gathered from one character
+    row (characters.character_row), not the whole table.  A DEBUG log line,
+    written after the Gram, reports the orbit table's shape, the bits of
+    headroom under that last bound (the one that proves the result) and the
+    call's seconds.
     """
     t0 = perf_counter()
     lam = as_partition(lam)
@@ -268,6 +270,7 @@ def j_pair(lam, l, k) -> int:
     chimax = int(np.abs(chi_row).max())
     contraction = factorial(n - l)
     bound = contraction * chimax * chimax
+    sum_bound = (factorial(l) * bound) ** 2
     F = chi_row[cls]
     if bound >= _INT64_LIMIT:
         F, v = F.astype(object), v.astype(object)
@@ -275,11 +278,11 @@ def j_pair(lam, l, k) -> int:
     if log.isEnabledFor(logging.DEBUG):
         log.debug("lam=%s n=%d l=%d k=%d orbits=%dx%d contraction=%d "
                   "headroom_bits=%.1f seconds=%.4f", lam, n, l, k, *cls.shape,
-                  contraction, log2(_INT64_LIMIT) - log2(bound),
+                  contraction, log2(_INT64_LIMIT) - log2(sum_bound),
                   perf_counter() - t0)
-    w = w.tolist()
-    return sum(wa * sum(wb * g * g for wb, g in zip(w, row))
-               for wa, row in zip(w, G.tolist()))
+    if sum_bound >= _INT64_LIMIT:
+        G, w = G.astype(object), w.astype(object)
+    return int(w @ (G * G) @ w)
 
 
 def leading_coefficient(lam, limit=None) -> int:

@@ -215,26 +215,23 @@ def tableaux(shape) -> Tableaux:
     return Tableaux(shape)
 
 
-def _row_words(parts):
-    """Row words of all standard tableaux of the shape, unsorted: those of
-    the shape less each corner box, each followed by that corner's row."""
-    memo = {}
-
-    def words(shape):
-        if shape not in memo:
-            blocks = [np.zeros((1, 0), dtype=np.uint8)] if not shape else []
-            for r, part in enumerate(shape):
-                if r + 1 < len(shape) and shape[r + 1] == part:
-                    continue
-                # a last box alone in its row leaves the shape's first r rows
-                smaller = words(shape[:r] + (part - 1,) + shape[r + 1:] if part > 1
-                                else shape[:r])
-                blocks.append(np.concatenate(
-                    [smaller, np.full((len(smaller), 1), r, dtype=np.uint8)], axis=1))
-            memo[shape] = np.concatenate(blocks)
-        return memo[shape]
-
-    return words(tuple(parts))
+@cache
+def _row_words(shape):
+    """Row words of all standard tableaux of the shape (a parts tuple), read-only
+    and unsorted: those of the shape less each corner box, each followed by
+    that corner's row.  Cached, so each sub-shape is built once per process."""
+    blocks = [np.zeros((1, 0), dtype=np.uint8)] if not shape else []
+    for r, part in enumerate(shape):
+        if r + 1 < len(shape) and shape[r + 1] == part:
+            continue
+        # a last box alone in its row leaves the shape's first r rows
+        smaller = _row_words(shape[:r] + (part - 1,) + shape[r + 1:] if part > 1
+                             else shape[:r])
+        blocks.append(np.concatenate(
+            [smaller, np.full((len(smaller), 1), r, dtype=np.uint8)], axis=1))
+    words = np.concatenate(blocks)
+    words.flags.writeable = False
+    return words
 
 
 def _fractions(m, p):

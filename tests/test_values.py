@@ -59,7 +59,8 @@ def test_cached_arrays_are_read_only():
     perms, chars = _char_data((3, 2))
     arrays = [tab.words, tab.contents, tab.partner, tab.axial, tab.exponents,
               perms, chars, character_row((3, 2)), character_table(4).values,
-              *marked_orbits(4, 1), moments._classes(4, 2, 1)]
+              *marked_orbits(4, 1), moments._classes(4, 2, 1),
+              seminormal._row_words((3, 2, 1)), seminormal._row_words((2, 1))]
     for array in arrays:
         assert not array.flags.writeable
         with pytest.raises(ValueError, match="read-only"):

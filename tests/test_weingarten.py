@@ -4,17 +4,21 @@ Oracles: closed forms for one, two, and three symbols derived by hand from
 the character-sum definition (the two-symbol pair comes from inverting the
 2x2 Gram matrix of the permutation operators, the three-symbol triple from
 the analogous 6x6 system); entry-moment values checkable against direct
-parametrization of small unitary groups; and a Monte Carlo cross-check.
+parametrization of small unitary groups; a Monte Carlo cross-check; and
+the per-pair Weingarten double sum over scalar Permutations, against which
+the cycle-type grouping of monomial_integral is compared.
 """
 
 from fractions import Fraction
-from itertools import permutations as iter_permutations
+from itertools import permutations as iter_permutations, product
+from math import factorial
 
 import numpy as np
 import pytest
 
 from immom.ratfun import RationalFunction as R
 from immom.sampler import estimate_monomial
+from immom.symgroup import all_permutations
 from immom.weingarten import monomial_integral, weingarten
 
 
@@ -183,3 +187,74 @@ def test_monte_carlo_agreement():
         est = estimate_monomial(r, c, cr, cc, d, samples=10**5, seed=900 + k)
         assert abs(est.estimate.real - exact) <= 5 * est.stderr
         assert abs(est.estimate.imag) <= 5 * est.stderr
+
+
+# ---------------------------------------------------------------------------
+# the cycle-type grouping against the per-pair double sum
+
+
+def per_pair_integral(rows, cols, conj_rows, conj_cols, d=None):
+    """The Weingarten double sum one pair at a time: W of the cycle type of
+    sigma tau^-1 added once per pairing pair, built from scalar
+    Permutations."""
+    m = len(rows)
+
+    def matchers(left, right):
+        return [p for p in all_permutations(m)
+                if all(left[s] == right[p.img[s]] for s in range(m))]
+
+    total = R(0)
+    for sigma in matchers(rows, conj_rows):
+        for tau in matchers(cols, conj_cols):
+            total += weingarten((sigma * tau.inverse()).cycle_type())
+    return total if d is None else total.evaluate(d)
+
+
+def test_grouped_sum_matches_per_pair_sum_on_every_small_pattern():
+    for m in range(3):
+        for rows, cols, crows, ccols in product(product((1, 2), repeat=m), repeat=4):
+            assert monomial_integral(rows, cols, crows, ccols) == per_pair_integral(
+                rows, cols, crows, ccols), (rows, cols, crows, ccols)
+
+
+def test_grouped_sum_matches_per_pair_sum_on_random_patterns():
+    rng = np.random.default_rng(37)
+    vanishing = 0
+    for _ in range(200):
+        m = int(rng.integers(3, 6))
+        rows, cols = rng.integers(1, 4, m).tolist(), rng.integers(1, 4, m).tolist()
+        # one pattern in four draws its conjugate rows afresh, so that the
+        # row multisets usually differ and the integral vanishes
+        crows = (rng.integers(1, 4, m) if rng.random() < 0.25
+                 else rng.permutation(rows)).tolist()
+        ccols = rng.permutation(cols).tolist()
+        expected = per_pair_integral(rows, cols, crows, ccols)
+        assert monomial_integral(rows, cols, crows, ccols) == expected, (
+            rows, cols, crows, ccols)
+        vanishing += expected.is_zero()
+    assert 10 <= vanishing < 200
+
+
+def test_grouped_sum_matches_per_pair_sum_at_integer_dimension():
+    empty = ([], [], [], [])
+    assert monomial_integral(*empty, 3) == per_pair_integral(*empty, 3) == 1
+    for pattern in (([1, 1, 2], [1, 2, 2], [2, 1, 1], [2, 1, 2]),
+                    ([1, 2, 3], [1, 1, 1], [3, 2, 1], [1, 1, 1]),
+                    ([1, 1, 2, 2], [1, 2, 1, 2], [1, 2, 1, 2], [2, 2, 1, 1])):
+        assert monomial_integral(*pattern, 7) == per_pair_integral(*pattern, 7), pattern
+
+
+def entry_moment(m):
+    """E |U11|^(2m) = m! / (d (d + 1) ... (d + m - 1)), as a RationalFunction."""
+    return R.parse(f"{factorial(m)} / (" + "*".join(
+        ["d"] + [f"(d + {k})" for k in range(1, m)]) + ")")
+
+
+def test_all_equal_indices_give_the_entry_moment_up_to_six():
+    for m in range(1, 7):
+        assert monomial_integral([1] * m, [1] * m, [1] * m, [1] * m) == entry_moment(m), m
+
+
+@pytest.mark.slow
+def test_all_equal_indices_give_the_entry_moment_at_seven():
+    assert monomial_integral([1] * 7, [1] * 7, [1] * 7, [1] * 7) == entry_moment(7)
