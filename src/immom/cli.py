@@ -287,6 +287,8 @@ def _cmd_wg(args):
 
 def _cmd_dominance(args):
     n = args.n
+    if n < 0:
+        raise ValueError("n must be nonnegative")
     _check_dimension(args.d, n)
     d_values = [args.d] if args.d is not None else list(range(n, n + 11))
     parts = partition_list(n)

@@ -19,7 +19,7 @@ from itertools import accumulate
 from math import factorial, prod
 
 
-@dataclass(frozen=True, slots=True, repr=False)
+@dataclass(frozen=True, repr=False)
 class Partition:
     """A weakly decreasing tuple of positive integers (possibly empty)."""
 

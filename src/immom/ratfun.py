@@ -5,12 +5,12 @@ canonical form
 
     prefactor * numer / (scalar * prod over c of (d + c)^factors[c])
 
-in four slots: an integer prefactor, a primitive integer polynomial numer
+in four fields: an integer prefactor, a primitive integer polynomial numer
 (little-endian coefficients, positive leading coefficient), a positive
 integer scalar and a dict factors of offset -> multiplicity.  Denominator
 factors cancel into the numerator by exact trial division only, and
-gcd(prefactor, scalar) is reduced, so equal values compare equal slot by
-slot.
+gcd(prefactor, scalar) is reduced, so equal values compare equal field by
+field.
 
 A small parser accepts the text grammar (integers, d, + - * / ^ and
 parentheses); the machine format always writes explicit '*', while the
@@ -104,7 +104,7 @@ def _poly_pow_linear(c, m):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True, slots=True, repr=False)
+@dataclass(frozen=True, repr=False)
 class RationalFunction:
     """An immutable rational function of d in the canonical form above."""
 
@@ -119,8 +119,8 @@ class RationalFunction:
         factors = {int(c): int(m) for c, m in (factors or {}).items()}
         if any(m < 0 for m in factors.values()):
             raise ValueError("negative multiplicity")
-        slots = _canonicalize(int(prefactor), tuple(numer), int(scalar), factors)
-        for name, value in zip(self.__slots__, slots):
+        canonical = _canonicalize(int(prefactor), tuple(numer), int(scalar), factors)
+        for name, value in zip(("prefactor", "numer", "scalar", "factors"), canonical):
             object.__setattr__(self, name, value)
 
     # -- constructors ------------------------------------------------------
@@ -202,7 +202,7 @@ class RationalFunction:
 
     # -- comparisons -------------------------------------------------------
 
-    # the dataclass compares the four slots, but factors is a dict: hash here
+    # the dataclass compares the four fields, but factors is a dict: hash here
     def __hash__(self):
         return hash((self.prefactor, self.numer, self.scalar, tuple(self.factors.items())))
 

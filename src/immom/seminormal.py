@@ -80,10 +80,10 @@ stays, the partner's coefficient where it moves).  They are built in n
 vectorised steps and scattered into C, and G is summed from the same
 entries, with no dense f_xi x q product.
 
-The tables of each xi (row words, contents, partners and axial distances
-per adjacent transposition, and the exponents of the invariant form) are
-built with numpy and cached; nothing that depends on lam or on the prime is
-cached.  References: Okounkov and Vershik, Selecta Math.
+The tables of each xi are built with numpy from one cached recursion over
+sub-shapes, which lists the standard tableaux in colexicographic order of
+their row words with the content of every letter; nothing that depends on
+lam or on the prime is cached.  References: Okounkov and Vershik, Selecta Math.
 2 (1996) 581-605, for the Young bases; Collins and Sniady, CMP 264 (2006)
 773-795, for the Weingarten sum this replaces.
 """
@@ -98,7 +98,7 @@ from time import perf_counter
 
 import numpy as np
 
-from .characters import _chi, character, character_table
+from .characters import _chi, character, character_row, class_size
 from .partitions import Partition, as_partition, dim_symmetric, partition_list
 
 log = logging.getLogger(__name__)
@@ -114,12 +114,13 @@ PRIMES = (33554393, 33554383, 33554371, 33554347, 33554341, 33554317, 33554291,
 
 
 class Tableaux:
-    """The standard Young tableaux of one shape, in lexicographic order of
+    """The standard Young tableaux of one shape, in colexicographic order of
     their row words, with the data of the seminormal action.
 
     words[T, k] is the row of letter k (0-based), contents[T, k] its
-    content col - row; partner[k, T] is the index of s_k T, or T itself
-    when s_k T is not standard, and axial[k, T] = c_T(k+1) - c_T(k).
+    content col - row; axial[k, T] = c_T(k+1) - c_T(k), and partner[k, T]
+    is the index of s_k T, or T itself when |axial[k, T]| = 1: then k, k+1
+    are neighbours in a row or a column, and s_k T is not standard.
     exponents[T, a] is the number of letters i < j with c_T(i) - c_T(j) = a
     (zero for a < 2), the exponent of alpha(a) in the invariant form.
     """
@@ -127,35 +128,24 @@ class Tableaux:
     def __init__(self, shape):
         self.shape = as_partition(shape)
         m = self.shape.n
-        words = _row_words(self.shape.parts)
-        rows = len(self.shape.parts)
-        powers = rows ** np.arange(m - 1, -1, -1, dtype=np.int64)
-        codes = words.astype(np.int64) @ powers
-        order = np.argsort(codes)
-        words, codes = words[order], codes[order]
-        cols = np.zeros(words.shape, dtype=np.int64)
-        for r in range(rows):
-            in_row = words == r
-            cols[in_row] = (np.cumsum(in_row, axis=1) - 1)[in_row]
-        contents = cols - words
-        size = len(words)
-        partner = np.empty((max(m - 1, 0), size), dtype=np.int64)
-        axial = np.empty((max(m - 1, 0), size), dtype=np.int64)
-        own = np.arange(size)
-        for k in range(m - 1):
-            axial[k] = contents[:, k + 1] - contents[:, k]
-            swappable = (words[:, k] != words[:, k + 1]) & (cols[:, k] != cols[:, k + 1])
-            step = (words[:, k + 1].astype(np.int64) - words[:, k]) * (
-                powers[k] - powers[k + 1])
-            partner[k] = np.where(
-                swappable, np.searchsorted(codes, codes + step), own)
+        words, contents = _row_words(self.shape.parts)
+        contents = contents.astype(np.int64)
+        axial = np.diff(contents).T.copy()
+        # letter k weighs rows^k, so the codes ascend in the colexicographic order
+        powers = len(self.shape.parts) ** np.arange(m, dtype=np.int64)
+        rows = words.astype(np.int64)
+        codes = rows @ powers
+        # s_k T has letter k in row words[T, k + 1] and letter k + 1 in words[T, k]
+        step = np.diff(rows).T * (powers[:-1] - powers[1:])[:, None]
+        partner = np.where(abs(axial) != 1, np.searchsorted(codes, codes + step),
+                           np.arange(len(words)))
         i, j = np.triu_indices(m, 1)
         drop = contents[:, i] - contents[:, j]
-        exponents = np.zeros((size, m), dtype=np.min_scalar_type(comb(m, 2)))
+        exponents = np.zeros((len(words), m), dtype=np.min_scalar_type(comb(m, 2)))
         for a in range(2, m):
             exponents[:, a] = (drop == a).sum(axis=1)
         # shared by every caller of the cached tableaux(), so read-only
-        for table in (words, contents, partner, axial, exponents):
+        for table in (contents, partner, axial, exponents):
             table.flags.writeable = False
         self.words = words
         self.contents = contents
@@ -217,21 +207,26 @@ def tableaux(shape) -> Tableaux:
 
 @cache
 def _row_words(shape):
-    """Row words of all standard tableaux of the shape (a parts tuple), read-only
-    and unsorted: those of the shape less each corner box, each followed by
-    that corner's row.  Cached, so each sub-shape is built once per process."""
-    blocks = [np.zeros((1, 0), dtype=np.uint8)] if not shape else []
+    """(words, contents) of all standard tableaux of the shape (a parts
+    tuple), read-only uint8 and int8 arrays in colexicographic order of the
+    words: those of the shape less each corner box, from the top row down,
+    each followed by that corner's row r and content shape[r] - 1 - r.
+    Cached, so each sub-shape is built once per process."""
+    words = [np.zeros((1, 0), dtype=np.uint8)] if not shape else []
+    contents = [np.zeros((1, 0), dtype=np.int8)] if not shape else []
     for r, part in enumerate(shape):
         if r + 1 < len(shape) and shape[r + 1] == part:
             continue
         # a last box alone in its row leaves the shape's first r rows
         smaller = _row_words(shape[:r] + (part - 1,) + shape[r + 1:] if part > 1
                              else shape[:r])
-        blocks.append(np.concatenate(
-            [smaller, np.full((len(smaller), 1), r, dtype=np.uint8)], axis=1))
-    words = np.concatenate(blocks)
-    words.flags.writeable = False
-    return words
+        for blocks, table, last in zip((words, contents), smaller, (r, part - 1 - r)):
+            blocks.append(np.column_stack(
+                [table, np.full(len(table), last, dtype=table.dtype)]))
+    tables = np.concatenate(words), np.concatenate(contents)
+    for table in tables:
+        table.flags.writeable = False
+    return tables
 
 
 def _fractions(m, p):
@@ -325,9 +320,8 @@ def projection_rank(lam, xi) -> int:
     n = lam.n
     if xi.n != 2 * n:
         raise ValueError("xi must partition twice |lam|")
-    table = character_table(n)
-    weighted = [(size * int(chi), mu.parts) for size, chi, mu in
-                zip(table.class_sizes, table.row(lam), table.partitions) if chi]
+    weighted = [(class_size(mu) * int(chi), mu.parts) for chi, mu in
+                zip(character_row(lam), partition_list(n)) if chi]
     total = 0
     for wa, a in weighted:
         for wb, b in weighted:

@@ -32,7 +32,7 @@ from .partitions import Partition, partition_list
 _KEY_BLOCK = 4096  # rows per cycle_keyer block
 
 
-@dataclass(frozen=True, slots=True, repr=False)
+@dataclass(frozen=True, repr=False)
 class Permutation:
     """Permutation of {1..m}, stored as a tuple of 0-indexed images."""
 

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from math import factorial
 
-from .characters import character_table, class_size
+from .characters import character, class_size
 from .partitions import Partition, as_partition, partition_list
 from .seminormal import pair_coefficient
 
@@ -26,11 +26,10 @@ def t_histogram(lam, A, B) -> dict[Partition, int]:
     lam = as_partition(lam)
     m = 2 * lam.n
     classes = partition_list(m)
-    table = character_table(m)
     coeffs = [(xi, pair_coefficient(lam, xi, A, B)) for xi in classes]
     hist = {}
     for ct in classes:
-        total = class_size(ct) * sum(table.value(xi, ct) * a for xi, a in coeffs)
+        total = class_size(ct) * sum(character(xi, ct) * a for xi, a in coeffs)
         h, rest = divmod(total, factorial(m))
         if rest:
             raise ArithmeticError(f"class {ct}: {total} is not a multiple of {m}!")

@@ -21,7 +21,7 @@ from itertools import permutations
 
 import numpy as np
 
-from .characters import character_table
+from .characters import character
 from .partitions import as_partition, hook_product, partition_list, unitary_numerator
 from .ratfun import RationalFunction
 from .symgroup import cycle_keyer
@@ -41,10 +41,8 @@ def irreducible_sum(coeffs) -> RationalFunction:
 
 @cache
 def _weingarten_cached(rho_parts: tuple) -> RationalFunction:
-    m = sum(rho_parts)
-    table = character_table(m)
-    return irreducible_sum({xi: chi for xi in partition_list(m)
-                            if (chi := table.value(xi, rho_parts))})
+    return irreducible_sum({xi: chi for xi in partition_list(sum(rho_parts))
+                            if (chi := character(xi, rho_parts))})
 
 
 def weingarten(rho, d=None):

@@ -3,11 +3,16 @@
 Runs every command below in process through ``immom.cli.main`` and records
 its exit code, stdout, stderr and, for ``--out`` runs, the file it wrote.
 Wall times are masked (``wall_time_s`` in JSON, "computed in" in text), and
-argparse formats its messages at a fixed width of 80 columns; their wording
-is that of the Python the corpus was made with (3.11), and a later Python
-may word an argparse error differently.  The Monte Carlo subcommands appear
-only on paths that exit before drawing a sample: their seeded floats may
-differ in the last bits between CPUs.
+argparse formats its messages at a fixed width of 80 columns.  Argparse
+quotes an invalid choice differently across Python releases: 3.10.13,
+3.11.7, 3.12.1 and 3.13.0 print ``invalid choice: 'xml' (choose from
+'text', 'json')`` and ``invalid choice: 3 (choose from 2, 4)``, while
+3.13.13 prints the same value ``'3'`` and the choices without quotes.  So
+the mask drops every single quote from an "invalid choice:" line to its
+end.  The rest of argparse's wording is that of the Python the corpus was
+made with (3.11), and a later Python may word an error differently.  The
+Monte Carlo subcommands appear only on paths that exit before drawing a
+sample: their seeded floats may differ in the last bits between CPUs.
 
     python tests/make_cli_corpus.py
 
@@ -85,7 +90,7 @@ def commands():
         ["perm-conjecture", "2", "--format", "csv"],
         ["wg", "1,1", "--d", "1"], ["wg", "2,1", "--d", "2", "--format", "json"],
         ["wg", "x"], ["wg", "2", "--format", "csv"],
-        ["dominance", "4", "--d", "3"],
+        ["dominance", "4", "--d", "3"], ["dominance", "-1"],
         ["table1", "--max-n", "1"], ["table1", "--max-n", "6"],
         ["table2", "--max-n", "0"], ["table2", "--max-n", "10"],
         ["sample", "2,1", "--d", "2"], ["sample", "2", "--d", "5:3"],
@@ -109,8 +114,10 @@ def commands():
 
 
 def mask(text):
-    """Blank out wall times, the only run-to-run variation in the output."""
+    """Blank out wall times, the only run-to-run variation in the output, and
+    the quotes of an invalid argparse choice, which vary between Pythons."""
     text = re.sub(r'("wall_time_s": )[-+.0-9eE]+', r'\1"*"', text)
+    text = re.sub(r"invalid choice: .*", lambda match: match[0].replace("'", ""), text)
     return re.sub(r"computed in [0-9.]+ s", "computed in * s", text)
 
 

@@ -9,7 +9,7 @@ import json
 
 import pytest
 
-from make_cli_corpus import CORPUS, run
+from make_cli_corpus import CORPUS, mask, run
 
 ENTRIES = json.loads(CORPUS.read_text(encoding="utf-8"))
 
@@ -21,3 +21,12 @@ def test_cli_output_matches_corpus(entry, tmp_path, monkeypatch):
     monkeypatch.setenv("COLUMNS", "80")
     got = run(entry["argv"], str(tmp_path / "out"))
     assert got == (entry["code"], entry["stdout"], entry["stderr"], entry["out_file"])
+
+
+def test_mask_reads_every_python_s_invalid_choice_alike():
+    # the same two errors as Python 3.11.7 and 3.13.13 print them
+    old = ("error: argument --format: invalid choice: 'xml' (choose from 'text', 'json')\n"
+           "error: argument --power: invalid choice: 3 (choose from 2, 4)\n")
+    new = ("error: argument --format: invalid choice: 'xml' (choose from text, json)\n"
+           "error: argument --power: invalid choice: '3' (choose from 2, 4)\n")
+    assert mask(old) == mask(new)

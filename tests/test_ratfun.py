@@ -308,6 +308,21 @@ def test_parse_rejects_malformed():
             R.parse(bad)
 
 
+def test_parse_error_messages():
+    for bad, message in [("d)", "trailing input in rational function text 'd)'"),
+                         ("1/0", "division by zero in rational function text"),
+                         ("d/(d-d)", "division by zero in rational function text"),
+                         ("1/(d^2+1)", "denominator does not factor into integer linear terms")]:
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            R.parse(bad)
+
+
+def test_parse_negative_powers_and_nested_reciprocals():
+    assert R.parse("d^-2") == R.ratio(1, {0: 2})
+    assert R.parse("(2*d+2)^-1") == R.ratio(1, {1: 1}, 2)
+    assert R.parse("1/(2/(d+1))") == R.ratio((1, 1), None, 2)
+
+
 def test_eq_hash_consistent():
     a = R.parse("6/((d-1)*d*(d+1))")
     b = R.ratio(6, {-1: 1, 0: 1, 1: 1})

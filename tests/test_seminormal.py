@@ -7,8 +7,9 @@ stated character and invariant form, the corner basis of the fixed space
 of Q and its rank (positive exactly for xi with at most n rows), the rank
 of P that screens out irreps before any tableau work, and the
 adjacent-transposition words.  The fast kernels (the in-place row
-update, the sparse corner basis, the tabulated form and the recursive row
-words) are each checked against a plain dense or letter-by-letter
+update, the sparse corner basis, the tabulated form, the recursive row
+words and contents, and the partners read off the axial distances) are
+each checked against a plain dense, letter-by-letter or word-swapping
 reference kept here.
 """
 
@@ -251,8 +252,26 @@ def _letter_by_letter_words(parts):
 
 
 def test_words_are_the_letter_by_letter_build_in_order():
+    # colexicographic: sorted by the reversed word; letter k of row r has
+    # content (its column, the letters before it in row r) minus r
     for m in range(11):
         for xi in partition_list(m):
             tab = tableaux(xi.parts)
-            want = sorted(_letter_by_letter_words(xi.parts))
+            want = sorted(_letter_by_letter_words(xi.parts), key=lambda w: w[::-1])
             assert [tuple(w) for w in tab.words.tolist()] == want, xi
+            contents = [[w[:k].count(r) - r for k, r in enumerate(w)] for w in want]
+            assert tab.contents.tolist() == contents, xi
+
+
+def test_partners_are_the_swapped_words():
+    # s_k T exchanges letters k and k+1 in T's row word; the partner is
+    # that tableau when it is standard, and T otherwise
+    for m in range(10):
+        for xi in partition_list(m):
+            tab = tableaux(xi.parts)
+            words = [tuple(w) for w in tab.words.tolist()]
+            index = {w: t for t, w in enumerate(words)}
+            for k in range(m - 1):
+                want = [index.get(w[:k] + (w[k + 1], w[k]) + w[k + 2:], t)
+                        for t, w in enumerate(words)]
+                assert tab.partner[k].tolist() == want, (xi, k)

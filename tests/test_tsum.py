@@ -36,7 +36,7 @@ def test_empty_swap_sets_are_the_self_convolution():
             assert t_histogram(lam, frozenset(), frozenset()) == want, lam
 
 
-def test_vec_histogram_validates():
+def test_histogram_rejects_swap_points_outside_one_to_n():
     with pytest.raises(ValueError):
         t_histogram((2, 1), frozenset({4}), frozenset())
     with pytest.raises(ValueError):

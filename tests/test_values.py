@@ -2,8 +2,9 @@
 arrays.
 
 Partition, Permutation and RationalFunction are frozen dataclasses, so
-pickle, copy and deepcopy rebuild equal values with equal hashes, and a
-spawned worker process can receive and return them.  Every array that a
+pickle, copy and deepcopy rebuild equal values with equal hashes, a
+spawned worker process can receive and return them, and assigning or
+deleting any attribute raises FrozenInstanceError.  Every array that a
 cache hands to more than one caller is read-only, so one stray write
 cannot change a later result.
 """
@@ -11,6 +12,7 @@ cannot change a later result.
 import copy
 import multiprocessing
 import pickle
+from dataclasses import FrozenInstanceError, fields
 
 import pytest
 
@@ -46,6 +48,15 @@ def test_values_survive_pickle_and_copy(value, trip):
     assert hash(back) == hash(value)
 
 
+@pytest.mark.parametrize("value", VALUES, ids=repr)
+def test_values_refuse_assignment_and_deletion(value):
+    for name in [field.name for field in fields(value)] + ["foo"]:
+        with pytest.raises(FrozenInstanceError):
+            setattr(value, name, 1)
+        with pytest.raises(FrozenInstanceError):
+            delattr(value, name)
+
+
 def test_values_cross_a_spawn_pool():
     # a worker that cannot unpickle its task dies and is replaced without
     # end, so the timeout turns that hang into a failure
@@ -60,7 +71,7 @@ def test_cached_arrays_are_read_only():
     arrays = [tab.words, tab.contents, tab.partner, tab.axial, tab.exponents,
               perms, chars, character_row((3, 2)), character_table(4).values,
               *marked_orbits(4, 1), moments._classes(4, 2, 1),
-              seminormal._row_words((3, 2, 1)), seminormal._row_words((2, 1))]
+              *seminormal._row_words((3, 2, 1)), *seminormal._row_words((2, 1))]
     for array in arrays:
         assert not array.flags.writeable
         with pytest.raises(ValueError, match="read-only"):
