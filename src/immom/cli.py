@@ -14,7 +14,8 @@ schema version; the formula modules return exact values only.
 Exit status: 0 on success; 1 when a verification or golden-table comparison
 fails; 2 on usage or domain errors (bad partition syntax, ``--d`` below the
 block size n, evaluation at a pole, size caps exceeded without
-``--limit-override``).
+``--limit-override``); 3 when a sampling worker process dies before
+returning its result (most likely killed for lack of memory).
 """
 
 from __future__ import annotations
@@ -646,6 +647,9 @@ def main(argv=None):
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except ChildProcessError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

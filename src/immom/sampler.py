@@ -23,8 +23,12 @@ follows.
 Sampling is organized in fixed-size chunks, each seeded by a
 counter-based generator keyed on (seed, row, chunk), so results are
 bit-for-bit reproducible for a given seed no matter how many workers run
-the chunks; per-chunk running statistics are merged in chunk order.
-Workers are forked where the platform can fork and spawned elsewhere.
+the chunks; per-chunk running statistics are merged in chunk order.  Every
+chunk of a call, of each point of a d-grid scan too, goes through one
+pool_map call, so a call starts at most one process pool, with no more
+workers than chunks; they are forked where the platform can fork and
+spawned elsewhere.  A worker that dies ends the call with
+ChildProcessError, not a hang.
 
 Immanants are evaluated from their definition as character-weighted
 permutation sums over the permutations whose character is nonzero, with
@@ -268,45 +272,76 @@ def _chunk_plan(samples):
     return chunks
 
 
-def _run_chunks(task, samples, workers):
-    """Run every chunk of task and merge them in chunk order; returns
-    (count, mean, stderr)."""
+def pool_map(fn, tasks, workers):
+    """[fn(*t) for t in tasks], in task order, over at most `workers`
+    processes.
+
+    One worker runs the calls here.  More run them on one
+    concurrent.futures.ProcessPoolExecutor, whose workers are forked where
+    the platform can fork and spawned elsewhere.  A worker that dies
+    without returning, most likely killed for lack of memory, breaks the
+    pool, and the call ends with ChildProcessError rather than a hang.
+    """
+    if workers <= 1:
+        return [fn(*t) for t in tasks]
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+    from concurrent.futures.process import BrokenProcessPool
+
+    # numpy loads numpy.random lazily; loading it here, not at import
+    # of this module, lets forked workers inherit it without making
+    # every import of the package pay for it
+    import numpy.random
+
+    method = "fork" if "fork" in multiprocessing.get_all_start_methods() else "spawn"
+    with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context(method)) as pool:
+        results = []
+        try:
+            for future in [pool.submit(fn, *t) for t in tasks]:
+                results.append(future.result())
+        except BrokenProcessPool as exc:
+            raise ChildProcessError(
+                f"a worker process died before task {len(results)} of {len(tasks)} returned "
+                f"({workers} workers), likely killed for lack of memory") from exc
+    return results
+
+
+def _run_chunks(tasks, samples, workers):
+    """Run every chunk of every (values, seed, row) task through one
+    pool_map call and merge each task's chunks in chunk order; returns
+    (count, mean, stderr) per task."""
     if samples < 2:
         raise ValueError("need at least 2 samples for a standard error")
     if workers < 1:
         raise ValueError("workers must be at least 1")
     plan = _chunk_plan(samples)
-    workers = min(workers, len(plan))
-    if workers > 1:
-        import multiprocessing
-
-        # numpy loads numpy.random lazily; loading it here, not at import
-        # of this module, lets forked workers inherit it without making
-        # every import of the package pay for it
-        import numpy.random
-
-        method = "fork" if "fork" in multiprocessing.get_all_start_methods() else "spawn"
-        with multiprocessing.get_context(method).Pool(workers) as pool:
-            stats = pool.starmap(_chunk_stats, [(task, c, k) for c, k in plan])
-    else:
-        stats = [_chunk_stats(task, c, k) for c, k in plan]
-    count, mean, m2 = _merge(stats)
-    return count, mean, sqrt(m2 / (count - 1) / count)
+    stats = pool_map(_chunk_stats, [(task, c, k) for task in tasks for c, k in plan],
+                     min(workers, len(tasks) * len(plan)))
+    merged = [_merge(stats[i:i + len(plan)]) for i in range(0, len(stats), len(plan))]
+    return [(count, mean, sqrt(m2 / (count - 1) / count)) for count, mean, m2 in merged]
 
 
-def _estimate(kind, lam, d, power, values, samples, seed, workers, row):
-    """Run the chunks of values(rng, count) and wrap the result; logs one
-    DEBUG line per estimate."""
+def _estimates(kind, lam, power, points, samples, seed, workers):
+    """One MomentEstimate per (d, row, values) point, all from one
+    _run_chunks call; logs one DEBUG line per call."""
     t0 = perf_counter()
-    count, mean, stderr = _run_chunks((values, seed, row), samples, workers)
+    results = _run_chunks([(values, seed, row) for _, row, values in points], samples, workers)
     if log.isEnabledFor(logging.DEBUG):
-        seconds = perf_counter() - t0
-        chunks = len(_chunk_plan(samples))
-        log.debug("kind=%s d=%d samples=%d chunks=%d workers=%d seconds=%.3f "
-                  "samples_per_s=%.0f", kind, d, count, chunks,
-                  min(workers, chunks), seconds, count / max(seconds, 1e-9))
-    return MomentEstimate(kind=kind, lam=lam, d=d, power=power, samples=count,
-                          seed=seed, estimate=mean, stderr=stderr)
+        seconds, count = perf_counter() - t0, len(points) * samples
+        chunks = len(points) * len(_chunk_plan(samples))
+        log.debug("kind=%s d=%s samples=%d chunks=%d workers=%d seconds=%.3f "
+                  "samples_per_s=%.0f", kind, ",".join(str(p[0]) for p in points), count,
+                  chunks, min(workers, chunks), seconds, count / max(seconds, 1e-9))
+    return [MomentEstimate(kind, lam, d, power, count, seed, mean, stderr)
+            for (d, _, _), (count, mean, stderr) in zip(points, results)]
+
+
+def _immanant_estimates(lam, rows_d, power, samples, seed, workers):
+    lam = as_partition(lam)
+    if any(d < lam.n for _, d in rows_d):
+        raise ValueError(f"d must be at least n = {lam.n}")
+    points = [(d, row, partial(_immanant_values, lam.parts, d, power)) for row, d in rows_d]
+    return _estimates("immanant", lam, power, points, samples, seed, workers)
 
 
 def estimate_moment(lam, d, power, samples, seed, workers=1, row=0) -> MomentEstimate:
@@ -317,11 +352,7 @@ def estimate_moment(lam, d, power, samples, seed, workers=1, row=0) -> MomentEst
     Haar measure.  Identical seeds give identical estimates for any worker
     count.
     """
-    lam = as_partition(lam)
-    if d < lam.n:
-        raise ValueError(f"d must be at least n = {lam.n}")
-    return _estimate("immanant", lam, d, power, partial(_immanant_values, lam.parts, d, power),
-                     samples, seed, workers, row)
+    return _immanant_estimates(lam, [(row, d)], power, samples, seed, workers)[0]
 
 
 def _relabel(a, b):
@@ -348,15 +379,11 @@ def estimate_monomial(rows, cols, conj_rows, conj_cols, d, samples, seed,
     cols, conj_cols, k_cols = _relabel(cols, conj_cols)
     values = partial(_monomial_values, rows, cols, conj_rows, conj_cols,
                      max(k_rows, k_cols), d)
-    return _estimate("monomial", None, d, None, values, samples, seed, workers, row)
+    return _estimates("monomial", None, None, [(d, row, values)], samples, seed, workers)[0]
 
 
 def moment_scan(lam, d_values, power, samples, seed, workers=1):
-    """Estimates across a d grid; row index feeds the seed derivation so
-    each grid point has its own reproducible stream."""
-    lam = as_partition(lam)
-    out = []
-    for row, d in enumerate(d_values):
-        est = estimate_moment(lam, d, power, samples, seed, workers=workers, row=row)
-        out.append(est)
-    return out
+    """Estimates across a d grid, every chunk of every point on one pool;
+    the row index feeds the seed derivation, so each grid point has its own
+    reproducible stream, that of estimate_moment at the same row."""
+    return _immanant_estimates(lam, list(enumerate(d_values)), power, samples, seed, workers)

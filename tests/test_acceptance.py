@@ -291,6 +291,11 @@ def test_criterion_04_closed_form_cross_checks():
             assert leading_coefficient((1,) * n) == (
                 factorial(n) * factorial(n + 1)
             ), n
+        # J(lam) = J(lam') holds term by term in j_pair's formula: for lam'
+        # each entry of F gains sgn(theta) sgn(x) sgn(y), so G' = S G S with S
+        # the diagonal of the row orbits' signs, and G' * G' = G * G.  So this
+        # is weak evidence against a j_pair defect; the corpus and the
+        # permanent route carry the independent weight
         for n in range(1, 7):
             for lam in partition_list(n):
                 assert leading_coefficient(lam) == leading_coefficient(

@@ -11,12 +11,14 @@ Oracles, in increasing strength:
     determinant, permanent, and general routes.
 """
 
+import json
 import logging
 import re
 from fractions import Fraction
 from functools import cache
 from itertools import permutations
 from math import comb, factorial
+from pathlib import Path
 
 import pytest
 
@@ -35,6 +37,7 @@ from immom.moments import (
     mean,
     mean_dominance_check,
     perm_fourth_conjecture,
+    permanent_coefficients,
     second_moment,
     second_moment_direct,
     t_histogram_direct,
@@ -50,7 +53,7 @@ from immom.partitions import (
 from immom.ratfun import RationalFunction as R
 from immom.symgroup import Permutation, all_permutations, all_subsets, theta
 from immom.tsum import t_histogram
-from immom.weingarten import monomial_integral
+from immom.weingarten import irreducible_sum, monomial_integral
 
 
 # ---------------------------------------------------------------------------
@@ -150,8 +153,8 @@ def test_det_moment_validates():
 
 
 def test_perm_conjecture_matches_proven_cases():
-    # the closed form is established for n <= 5, where the general engine
-    # can check it exactly
+    # the closed form is a theorem (permanent_coefficients); the general
+    # engine checks it exactly for n <= 5 here and at 6, 7 (and 8, slow) below
     for n in range(1, 6):
         assert perm_fourth_conjecture(n) == second_moment((n,))
 
@@ -160,6 +163,36 @@ def test_perm_conjecture_validates():
     for n in (-1, 0):
         with pytest.raises(ValueError, match=r"^need n >= 1$"):
             perm_fourth_conjecture(n)
+        with pytest.raises(ValueError, match=r"^need n >= 1$"):
+            permanent_coefficients(n)
+
+
+def test_permanent_coefficients_match_the_corpus():
+    # the Johnson-scheme sum against the engine's recorded integers, n <= 6
+    corpus = json.loads(
+        (Path(__file__).resolve().parent / "data" / "class_coefficients.json").read_text())
+    for n in range(1, 7):
+        got = {str(xi): str(a) for xi, a in permanent_coefficients(n).items()}
+        assert list(got.items()) == list(corpus[str(n)].items()), n
+
+
+def test_permanent_coefficients_match_the_engine_at_seven():
+    assert irreducible_sum(permanent_coefficients(7)) == second_moment((7,), limit=7)
+
+
+def test_permanent_coefficients_prove_the_conjecture_through_forty():
+    # step 3 of the proof: Gauss's second summation theorem gives each
+    # two-row coefficient in closed form, and the odd ones vanish; assembled,
+    # the coefficients are perm_fourth_conjecture(n)
+    for n in range(1, 41):
+        coeffs = permanent_coefficients(n)
+        assert list(coeffs) == [Partition((2 * n - 2 * m, 2 * m) if m else (2 * n,))
+                                for m in range(n // 2 + 1)], n
+        for m, a in enumerate(coeffs.values()):
+            root = Fraction(2**n * factorial(n - m) * factorial(2 * m),
+                            factorial(n) * 4**m * factorial(m))
+            assert a == factorial(n) ** 4 * root**2, (n, m)
+        assert irreducible_sum(coeffs) == perm_fourth_conjecture(n), n
 
 
 def test_perm_conjecture_leading_coefficient():

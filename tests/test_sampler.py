@@ -316,16 +316,18 @@ def test_general_immanant_is_the_gather_product_bit_for_bit():
             assert np.array_equal(immanant_batch(lam, M), want), lam
 
 
-def _run_python(code, **env):
-    """Run code in a fresh interpreter that imports immom from this tree;
-    returns its standard output."""
+def _run_python(code, timeout=300, returncode=0, path=(), **env):
+    """Run code in a fresh interpreter that imports immom from this tree and
+    from the directories in path; checks its exit status and returns its
+    standard output and standard error.  Past timeout seconds the run is
+    killed and the test fails, so a hang cannot stall the suite."""
     src = str(Path(immom.__file__).resolve().parents[1])
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    path = os.pathsep.join(filter(None, [src, *map(str, path), os.environ.get("PYTHONPATH")]))
     done = subprocess.run([sys.executable, "-c", textwrap.dedent(code)],
                           env={**os.environ, "PYTHONPATH": path, **env},
-                          capture_output=True, text=True, timeout=300)
-    assert done.returncode == 0, done.stderr
-    return done.stdout
+                          capture_output=True, text=True, timeout=timeout)
+    assert done.returncode == returncode, done.stderr
+    return done.stdout, done.stderr
 
 
 def test_sample_blocks_keep_the_unblocked_values_bit_for_bit():
@@ -374,7 +376,7 @@ def test_values_do_not_depend_on_the_blas_thread_count():
                 values = immanant_batch(lam, M[:count])
                 print(lam, count, hashlib.sha256(values.tobytes()).hexdigest())
     """
-    one, two = (_run_python(code, OPENBLAS_NUM_THREADS=k, OMP_NUM_THREADS=k).splitlines()
+    one, two = (_run_python(code, OPENBLAS_NUM_THREADS=k, OMP_NUM_THREADS=k)[0].splitlines()
                 for k in ("1", "2"))
     assert len(one) == 5 * 4
     assert [a for a, b in zip(one, two) if a != b] == []
@@ -574,36 +576,45 @@ def test_monomial_with_spread_indices_matches_the_exact_integral():
     assert abs(est.estimate - exact) <= 5 * est.stderr, (est.estimate, exact)
 
 
-class _SerialContext:
-    """Stands in for a multiprocessing context: records each pool size and
-    runs starmap in this process."""
-
-    def __init__(self):
-        self.sizes = []
-
-    def Pool(self, size):
-        self.sizes.append(size)
-        return self
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        return False
-
-    def starmap(self, func, args):
-        return [func(*a) for a in args]
+_get_context = multiprocessing.get_context
+_FORK = "fork" in multiprocessing.get_all_start_methods()
 
 
-def test_pool_has_no_more_workers_than_chunks(monkeypatch, caplog):
-    context = _SerialContext()
-    monkeypatch.setattr(multiprocessing, "get_context", lambda method=None: context)
+class _CountingContext:
+    """A multiprocessing context that counts the worker processes a pool
+    starts and hands everything else to the real context."""
+
+    def __init__(self, method):
+        self.context = _get_context(method)
+        self.processes = 0
+
+    def __getattr__(self, name):
+        return getattr(self.context, name)
+
+    def Process(self, *args, **kwargs):
+        self.processes += 1
+        return self.context.Process(*args, **kwargs)
+
+
+@pytest.fixture
+def contexts(monkeypatch):
+    """Every context a pool asks for, each counting its worker processes;
+    a forked pool starts all of them at once."""
+    if not _FORK:
+        pytest.skip("counts the workers of a forked pool")
+    made = []
+    monkeypatch.setattr(multiprocessing, "get_context",
+                        lambda method=None: made.append(_CountingContext(method)) or made[-1])
+    return made
+
+
+def test_pool_has_no_more_workers_than_chunks(contexts, caplog):
     serial = estimate_moment((2, 1), 4, 2, samples=3 * CHUNK + 17, seed=9)
     with caplog.at_level(logging.DEBUG, logger="immom.sampler"):
         pooled = estimate_moment((2, 1), 4, 2, samples=3 * CHUNK + 17, seed=9, workers=64)
         # one chunk needs no pool at all
         estimate_moment((2, 1), 4, 2, samples=100, seed=9, workers=64)
-    assert context.sizes == [4]
+    assert [c.processes for c in contexts] == [4]
     assert pooled.estimate == serial.estimate and pooled.stderr == serial.stderr
     # the DEBUG line gives the workers that ran, not the workers asked for
     logged = [re.search(r"workers=(\d+)", r.getMessage())[1]
@@ -611,11 +622,12 @@ def test_pool_has_no_more_workers_than_chunks(monkeypatch, caplog):
     assert logged == ["4", "1"]
 
 
+@pytest.mark.skipif(not _FORK, reason="only forked workers inherit modules")
 def test_pool_workers_inherit_numpy_random():
     # import immom leaves numpy.random unloaded, which keeps it out of every
     # import; the parent loads it just before it forks a pool, so that the
     # workers inherit it instead of each loading it on its first chunk
-    out = _run_python("""
+    out, _ = _run_python("""
         import multiprocessing
         import sys
 
@@ -623,25 +635,85 @@ def test_pool_workers_inherit_numpy_random():
         from immom.sampler import CHUNK, estimate_moment
 
         print("numpy.random" in sys.modules)
+        fork = multiprocessing.get_context("fork")
 
         class Context:
-            def Pool(self, size):
-                print("numpy.random" in sys.modules)
-                return self
+            def __getattr__(self, name):
+                return getattr(fork, name)
 
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def starmap(self, func, args):
-                return [func(*a) for a in args]
+            def Process(self, *args, **kwargs):
+                print("numpy.random" in sys.modules, flush=True)
+                return fork.Process(*args, **kwargs)
 
         multiprocessing.get_context = lambda method=None: Context()
         estimate_moment((2, 1), 4, 2, samples=CHUNK + 1, seed=9, workers=2)
-    """)
-    assert out.split() == ["False", "True"]
+    """, timeout=60)
+    assert out.split() == ["False", "True", "True"]
+
+
+_DYING_TASK = """
+    import os
+
+
+    def square(x, dies):
+        if x == dies:
+            os._exit(1)
+        return x * x
+"""
+
+
+@pytest.mark.parametrize("method", [
+    pytest.param("fork", marks=pytest.mark.skipif(not _FORK, reason="no fork here")), "spawn"])
+def test_a_dead_worker_ends_pool_map_with_an_error(method, tmp_path):
+    # multiprocessing.Pool replaced the dead worker, lost its task and
+    # waited for it forever; the timeout turns such a hang into a failure
+    (tmp_path / "dying.py").write_text(textwrap.dedent(_DYING_TASK))
+    out, _ = _run_python(f"""
+        import multiprocessing
+        import time
+
+        import dying
+        from immom.sampler import pool_map
+
+        multiprocessing.get_all_start_methods = lambda: [{method!r}]
+        assert pool_map(dying.square, [(x, -1) for x in range(6)], 2) == [0, 1, 4, 9, 16, 25]
+        t0 = time.perf_counter()
+        try:
+            pool_map(dying.square, [(x, 3) for x in range(6)], 2)
+        except ChildProcessError as exc:
+            print(f"{{time.perf_counter() - t0:.2f}}")
+            print(exc)
+    """, timeout=60, path=[tmp_path])
+    seconds, message = out.splitlines()
+    assert float(seconds) < 30
+    first = int(re.search(r"before task (\d+) of 6 returned \(2 workers\)", message)[1])
+    assert first <= 3
+    assert "lack of memory" in message
+
+
+def test_a_dead_worker_makes_the_cli_exit_with_status_three():
+    out, err = _run_python("""
+        import os
+        import sys
+
+        from immom import cli, sampler
+
+        chunk_stats = sampler._chunk_stats
+
+
+        def chunk_stats_or_exit(task, chunk, count):
+            if chunk == 1:
+                os._exit(1)
+            return chunk_stats(task, chunk, count)
+
+
+        sampler._chunk_stats = chunk_stats_or_exit
+        sys.exit(cli.main(["sample", "2,1", "--d", "4:5", "--samples", "9000",
+                           "--workers", "2"]))
+    """, timeout=60, returncode=3)
+    assert out == ""
+    assert re.fullmatch(r"error: a worker process died before task \d of 6 returned "
+                        r"\(2 workers\), likely killed for lack of memory\n", err)
 
 
 @pytest.mark.parametrize(
@@ -675,3 +747,21 @@ def test_moment_scan_rows_and_reproducibility():
     # and matches the single-point estimator at the same grid row
     single = estimate_moment((2, 1), 4, 2, samples=2000, seed=21, row=1)
     assert single.estimate == scans[1].estimate
+
+
+def test_a_scan_runs_every_point_on_one_pool(contexts, caplog):
+    # three points of two chunks each share one executor of four workers,
+    # and each point keeps the stream of its single-point estimate
+    d_values = [3, 5, 8]
+    with caplog.at_level(logging.DEBUG, logger="immom.sampler"):
+        scans = moment_scan((2, 1), d_values, 4, samples=CHUNK + 50, seed=13, workers=4)
+    assert [c.processes for c in contexts] == [4]
+    singles = [estimate_moment((2, 1), d, 4, samples=CHUNK + 50, seed=13, row=row)
+               for row, d in enumerate(d_values)]
+    assert [(e.d, e.samples, e.estimate, e.stderr) for e in scans] == [
+        (e.d, e.samples, e.estimate, e.stderr) for e in singles]
+    lines = [r.getMessage() for r in caplog.records if r.name == "immom.sampler"]
+    assert len(lines) == 1
+    fields = dict(re.findall(r"(\w+)=(\S+)", lines[0]))
+    assert (fields["d"], fields["samples"], fields["chunks"], fields["workers"]) == (
+        "3,5,8", str(3 * (CHUNK + 50)), "6", "4")
