@@ -13,7 +13,7 @@ schema version; the formula modules return exact values only.
 
 Exit status: 0 on success; 1 when a verification or golden-table comparison
 fails; 2 on usage or domain errors (bad partition syntax, ``--d`` below the
-block size n, evaluation at a pole, size caps exceeded without
+block size n or below 1, evaluation at a pole, size caps exceeded without
 ``--limit-override``); 3 when a sampling worker process dies before
 returning its result (most likely killed for lack of memory).
 """
@@ -41,14 +41,7 @@ from .moments import (
     perm_fourth_conjecture,
     second_moment,
 )
-from .partitions import (
-    Dominance,
-    Partition,
-    as_partition,
-    dominates,
-    parse_partition,
-    partition_list,
-)
+from .partitions import Partition, as_partition, dominance_covers, parse_partition
 from .ratfun import RationalFunction
 from .sampler import moment_scan
 from .weingarten import weingarten
@@ -165,8 +158,6 @@ def _emit(args, lines, payload=None, rows=None, fields=None):
     if args.format == "json":
         body = json.dumps(payload, indent=2) + "\n"
     elif args.format == "csv":
-        if rows is None:
-            raise ValueError("csv format is not available for this subcommand")
         buf = io.StringIO()
         writer = csv.DictWriter(buf, fieldnames=fields, extrasaction="ignore")
         writer.writeheader()
@@ -182,9 +173,9 @@ def _emit(args, lines, payload=None, rows=None, fields=None):
 
 
 def _check_dimension(d, n):
-    """An n x n block needs a unitary of size d >= n."""
-    if d is not None and d < n:
-        raise ValueError(f"d must be at least n = {n}")
+    """An n x n block needs a unitary of size d >= n, and a unitary has d >= 1."""
+    if d is not None and d < max(n, 1):
+        raise ValueError(f"d must be at least n = {n}" if n else "d must be at least 1")
 
 
 def _parse_d_range(text):
@@ -279,6 +270,8 @@ def _cmd_perm_conjecture(args):
 
 def _cmd_wg(args):
     rho = parse_partition(args.cycle_type)
+    # the Weingarten function continues below d = |rho|, down to d = 1
+    _check_dimension(args.d, 0)
     return _closed_form(args, "weingarten", f"W({rho})", weingarten(rho), lam=rho)
 
 
@@ -291,27 +284,22 @@ def _cmd_dominance(args):
     if n < 0:
         raise ValueError("n must be nonnegative")
     _check_dimension(args.d, n)
-    d_values = [args.d] if args.d is not None else list(range(n, n + 11))
-    parts = partition_list(n)
-    pairs = sum(
-        1 for lam in parts for mu in parts
-        if dominates(lam, mu) is Dominance.GREATER
-    )
-    violations = []
-    for d in d_values:
-        for lam, mu in mean_dominance_check(n, d):
-            violations.append(
-                {"d": d, "lambda": list(lam.parts), "mu": list(mu.parts)}
-            )
+    lo = max(n, 1)
+    d_values = [args.d] if args.d is not None else list(range(lo, lo + 11))
+    covers = len(dominance_covers(n))
+    violations = [
+        {"d": d, "lambda": list(lam.parts), "mu": list(mu.parts)}
+        for d in d_values for lam, mu in mean_dominance_check(n, d)
+    ]
     ok = not violations
-    payload = report("dominance", n=n, d_values=d_values, pairs_checked=pairs,
+    payload = report("dominance", n=n, d_values=d_values, covers_checked=covers,
                      violations=violations, ok=ok)
     d_text = f"d = {d_values[0]}" if len(d_values) == 1 else (
         f"d = {d_values[0]}..{d_values[-1]}"
     )
     lines = [
         f"dominance check for n = {n}, {d_text}: "
-        f"{pairs} strictly comparable ordered pairs per dimension"
+        f"{covers} covers of the dominance order per dimension"
     ]
     if ok:
         lines.append("ok: higher in dominance order always has the smaller mean")
@@ -489,10 +477,11 @@ def _cmd_table2(args):
 # parser
 
 
-def _add_output_flags(p):
+def _add_output_flags(p, rows):
+    """--format and --out; csv only for a subcommand that writes rows."""
     p.add_argument(
-        "--format", choices=["text", "json", "csv"], default="text",
-        help="output format (csv only for row-oriented subcommands; default text)",
+        "--format", choices=["text", "json", "csv"] if rows else ["text", "json"],
+        default="text", help="output format (default text)",
     )
     p.add_argument("--out", metavar="FILE", default=None,
                    help="write output to FILE instead of stdout")
@@ -591,7 +580,7 @@ def build_parser():
         help="check that dominance-higher partitions have smaller means",
     )
     p.add_argument("n", type=int)
-    _add_d_flag(p, help="single dimension to check (default: n..n+10)")
+    _add_d_flag(p, help="single dimension to check (default: n..n+10, or 1..11 at n = 0)")
     p.set_defaults(func=_cmd_dominance)
 
     p = sub.add_parser("sample",
@@ -633,8 +622,9 @@ def build_parser():
     _add_limit_flag(p)
     p.set_defaults(func=_cmd_table2)
 
-    for p in sub.choices.values():
-        _add_output_flags(p)
+    row_commands = ("sample", "verify", "table1", "table2", "dominance")
+    for name, p in sub.choices.items():
+        _add_output_flags(p, rows=name in row_commands)
     return parser
 
 

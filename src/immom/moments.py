@@ -47,8 +47,7 @@ from .characters import character, character_of, character_row
 from .partitions import (
     Partition,
     as_partition,
-    dominates,
-    Dominance,
+    dominance_covers,
     hook_product,
     partition_list,
     unitary_numerator,
@@ -408,26 +407,19 @@ def leading_coefficient_direct(lam) -> int:
 def mean_dominance_check(n, d):
     """Violations of 'higher in dominance order => smaller mean' at d.
 
-    Returns a list of (lam, mu) pairs with lam strictly dominating mu but
+    Returns the covers (lam, mu) of the dominance order (lam covers mu) with
     mean(lam)(d) > mean(mu)(d); empty means the ordering holds.
 
     It is empty for every n and every d >= n, by a theorem.  mean(lam)(d) is
-    n! / prod over boxes of (d + c(box)), c the content.  lam covers mu in
-    dominance order exactly when lam comes from mu by moving one box from
-    row j up to row i < j, where j = i + 1 or mu_i = mu_j (Brylawski,
-    Discrete Math. 6 (1973) 201-219).  The moved box's content goes from
-    c_old = mu_j - j to c_new = mu_i + 1 - i (1-based rows), which is
-    larger, and every other box keeps its content.  Every content is at
-    least 1 - n, so each factor d + c is positive at d >= n, and
-    mean(lam)/mean(mu) = (d + c_old)/(d + c_new) < 1 along every cover;
-    along a chain of covers, mean(lam)(d) < mean(mu)(d) whenever lam
-    strictly dominates mu.  The check here still compares every pair.
+    n! / prod over boxes of (d + c(box)), c the content.  A cover moves one
+    box of mu from row j up to row i < j with mu_i >= mu_j (Brylawski's rule,
+    see dominance_covers), so that box's content goes from c_old = mu_j - j
+    to c_new = mu_i + 1 - i (1-based rows), which is larger, and every other
+    box keeps its content.  Every content is at least 1 - n, so each factor
+    d + c is positive at d >= n, and mean(lam)/mean(mu) =
+    (d + c_old)/(d + c_new) < 1 along every cover.  Covers suffice: lam is
+    strictly above mu exactly when a chain of covers runs from lam down to
+    mu, and a mean that falls at every link falls.
     """
-    parts = partition_list(n)
-    values = {lam: mean(lam).evaluate(d) for lam in parts}
-    bad = []
-    for lam in parts:
-        for mu in parts:
-            if dominates(lam, mu) is Dominance.GREATER and values[lam] > values[mu]:
-                bad.append((lam, mu))
-    return bad
+    values = {lam: mean(lam).evaluate(d) for lam in partition_list(n)}
+    return [(lam, mu) for lam, mu in dominance_covers(n) if values[lam] > values[mu]]

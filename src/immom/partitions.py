@@ -75,11 +75,12 @@ def parse_partition(text: str) -> Partition:
         item = item.strip()
         if not item:
             raise ValueError(f"empty item in partition {text!r}")
-        if "^" in item:
-            base, _, exp = item.partition("^")
-            p, k = int(base), int(exp)
-        else:
-            p, k = int(item), 1
+        base, caret, exp = item.partition("^")
+        try:
+            p, k = int(base), (int(exp) if caret else 1)
+        except ValueError:
+            raise ValueError(f"cannot read item {item!r} of partition {text!r}; "
+                             "write parts like 3 or 3^2") from None
         if k < 0:
             raise ValueError(f"negative multiplicity in {text!r}")
         parts.extend([p] * k)
@@ -168,6 +169,26 @@ def dominates(lam, mu) -> Dominance:
     if all(a <= b for a, b in sums):
         return Dominance.LESS
     return Dominance.INCOMPARABLE
+
+
+def dominance_covers(n):
+    """Every cover (lam, mu) of the dominance order on partitions of n.
+
+    lam covers mu exactly when lam is mu with one box moved from row j up to
+    row i < j, where j = i + 1 or mu_i = mu_j, and both rows stay weakly
+    decreasing (Brylawski, Discrete Math. 6 (1973) 201-219).
+    """
+    covers = []
+    for mu in partition_list(n):
+        m = mu.parts + (0,)
+        for j in range(1, len(mu)):
+            # the box leaves row j, the last of its block of equal parts, for
+            # the block's top row, or for the row above when j tops the block
+            i = min(m.index(m[j]), j - 1)
+            if m[j] > m[j + 1] and (i == 0 or m[i - 1] > m[i]):
+                lam = (*m[:i], m[i] + 1, *m[i + 1:j], m[j] - 1, *m[j + 1:])
+                covers.append((Partition(p for p in lam if p), mu))
+    return covers
 
 
 def partitions_of(m: int):

@@ -450,6 +450,8 @@ def _parse_atom(toks):
         return f
     if kind == "-":
         return -_parse_factor(toks)
+    if kind is None:
+        raise ValueError("rational function text ends too early")
     raise ValueError(f"unexpected token {kind!r} in rational function text")
 
 

@@ -185,6 +185,9 @@ def permanent_batch(M):
     whatever the stack's size and memory layout.
     """
     n = M.shape[-1]
+    if n == 0:
+        # the permanent of the empty matrix is 1, as for immanant((), M)
+        return np.ones(len(M), dtype=np.result_type(M, 1.0))
     s = 1 << (n - 1)
     width = min(s, _SIGN_BLOCK)
     inner = width.bit_length() - 1  # delta_2 .. delta_(inner+1) vary in a block

@@ -65,7 +65,8 @@ def commands():
     cmds += [["wg", "2,1", "--d", "5"], ["wg", "1,1", "--d", "0"]]
     for n in (1, 3, 4, 5):
         cmds += [["dominance", str(n), *f] for f in (*fmts, ["--format", "csv"])]
-    cmds.append(["dominance", "6", "--d", "6", "--format", "json"])
+    cmds += [["dominance", "6", "--d", "6", "--format", "json"],
+             ["dominance", "0"], ["dominance", "0", "--format", "json"]]
     for max_n in ("2", "3", "4", "5"):
         cmds += [["table1", "--max-n", max_n, *f] for f in (*fmts, ["--format", "csv"])]
     for max_n in ("1", "4", "7"):
@@ -100,6 +101,12 @@ def commands():
         ["verify", "2", "--d", "3", "--samples", "0"],
         ["verify", "2", "--d", "3", "--workers", "-1"],
         ["verify", "3,3", "--d", "6", "--power", "4", "--samples", "2"],
+        # d below 1, where no unitary exists, even for the empty block
+        ["mean", "-", "--d", "0", "--format", "json"],
+        ["wg", "-", "--d", "0", "--format", "json"],
+        ["wg", "2", "--d", "-5", "--format", "json"],
+        ["sample", "-", "--d", "0", "--format", "json"],
+        ["verify", "-", "--d", "0:1", "--format", "json"],
     ]
     # ... and argparse errors
     cmds += [

@@ -14,7 +14,7 @@ from importlib import resources
 import jsonschema
 import pytest
 
-from immom import cli
+from immom import cli, moments
 from immom.cli import main, rational_payload, report
 from immom.moments import (
     LEADING_LIMIT,
@@ -25,7 +25,7 @@ from immom.moments import (
     perm_fourth_conjecture,
     second_moment,
 )
-from immom.partitions import Partition
+from immom.partitions import Partition, dominance_covers
 from immom.ratfun import RationalFunction as R
 
 
@@ -143,6 +143,9 @@ def test_second_moment_of_the_empty_shape(capsys):
     (("leading", "-"), "leading_coefficient", {"integer": 1}),
     (("sample", "-", "--d", "3", "--samples", "100", "--workers", "1"),
      "estimate", {"estimate": 1.0, "stderr": 0.0}),
+    (("sample", "-", "--d", "1:2", "--samples", "4", "--workers", "1"), "scan", {}),
+    (("verify", "-", "--d", "1:2", "--samples", "4", "--workers", "1"), "verify",
+     {"ok_fraction": 1.0}),
 ])
 def test_empty_shape_json_validates(capsys, argv, kind, extra):
     code, payload = run_json(capsys, *argv)
@@ -166,13 +169,43 @@ def test_wg_json(capsys):
 
 
 def test_dominance_json(capsys):
+    # the covers of n = 4: (4) > (3,1) > (2,2) > (2,1,1) > (1^4)
     code, payload = run_json(capsys, "dominance", "4")
     assert code == 0
     assert payload["kind"] == "dominance"
     assert payload["d_values"] == list(range(4, 15))
-    assert payload["pairs_checked"] > 0
+    assert payload["covers_checked"] == len(dominance_covers(4)) == 4
     assert payload["violations"] == []
     assert payload["ok"] is True
+    code, out, err = run(capsys, "dominance", "4")
+    assert out.splitlines()[0] == (
+        "dominance check for n = 4, d = 4..14: 4 covers of the dominance order per dimension")
+
+
+def test_dominance_of_nothing_starts_its_grid_at_one(capsys):
+    code, payload = run_json(capsys, "dominance", "0")
+    assert code == 0
+    assert payload["n"] == 0 and payload["d_values"] == list(range(1, 12))
+    assert payload["covers_checked"] == 0 and payload["ok"] is True
+
+
+def test_dominance_reports_each_violated_cover(capsys, monkeypatch):
+    # a mean raised at (3,2,1) breaks exactly the two covers below it
+    true_mean = moments.mean
+    monkeypatch.setattr(moments, "mean", lambda lam: true_mean(lam) * (
+        1000 if tuple(lam) == (3, 2, 1) else 1))
+    code, out, err = run(capsys, "dominance", "6", "--d", "7")
+    assert code == 1
+    assert out.splitlines()[1:] == [
+        "VIOLATION at d = 7: (3,2,1) above (3,1,1,1)",
+        "VIOLATION at d = 7: (3,2,1) above (2,2,2)",
+    ]
+    code, payload = run_json(capsys, "dominance", "6", "--d", "7")
+    assert code == 1 and payload["ok"] is False
+    assert payload["violations"] == [
+        {"d": 7, "lambda": [3, 2, 1], "mu": [3, 1, 1, 1]},
+        {"d": 7, "lambda": [3, 2, 1], "mu": [2, 2, 2]},
+    ]
 
 
 def test_dominance_single_d(capsys):
@@ -404,7 +437,7 @@ def test_report_keeps_trailing_fields_in_order_and_drops_none():
      ["schema_version", "kind", "lambda", "n", "power", "samples", "seed",
       "workers", "threshold", "rows", "ok_fraction", "ok"]),
     (("dominance", "3"),
-     ["schema_version", "kind", "n", "d_values", "pairs_checked", "violations", "ok"]),
+     ["schema_version", "kind", "n", "d_values", "covers_checked", "violations", "ok"]),
     (("table2", "--max-n", "2"),
      ["schema_version", "kind", "max_n", "rows", "ok"]),
 ])
@@ -473,9 +506,22 @@ def test_backwards_range(capsys):
 
 
 def test_csv_unavailable_for_formula_output(capsys):
-    code, out, err = run(capsys, "mean", "2,1", "--format", "csv")
-    assert code == 2
-    assert "csv" in err.lower()
+    # only the subcommands that write rows offer csv; argparse refuses it
+    # for the others before anything runs
+    for argv in (["mean", "2,1"], ["second-moment", "2"], ["leading", "2"],
+                 ["det-moment", "2"], ["perm-conjecture", "2"], ["wg", "2"]):
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--format", "csv"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "invalid choice" in err and "csv" in err, argv
+        with pytest.raises(SystemExit):
+            main([argv[0], "--help"])
+        assert "--format {text,json}" in capsys.readouterr().out, argv
+    for argv in (["sample", "2"], ["verify", "2"], ["table1"], ["table2"], ["dominance", "2"]):
+        with pytest.raises(SystemExit):
+            main([argv[0], "--help"])
+        assert "--format {text,json,csv}" in capsys.readouterr().out, argv
 
 
 def test_limit_guard_without_override(capsys):
@@ -508,6 +554,19 @@ def test_wg_pole(capsys):
     code, out, err = run(capsys, "wg", "2,1", "--d", "2")
     assert code == 2
     assert err.strip() == "error: pole at d = 2 (factor d - 2)"
+
+
+@pytest.mark.parametrize("argv", [
+    ("mean", "-", "--d", "0"), ("second-moment", "-", "--d", "0"),
+    ("wg", "-", "--d", "0"), ("wg", "2", "--d", "-5"), ("wg", "1,1", "--d", "0"),
+    ("dominance", "0", "--d", "0"), ("sample", "-", "--d", "0"),
+    ("verify", "-", "--d", "0:1"),
+])
+def test_dimension_below_one_rejected(capsys, argv):
+    # no unitary has d < 1, whatever the block; the Weingarten function,
+    # which continues below d = n, stops there too
+    code, out, err = run(capsys, *argv, "--format", "json")
+    assert (code, out, err) == (2, "", "error: d must be at least 1\n")
 
 
 def _must_not_run(*args, **kwargs):

@@ -45,6 +45,7 @@ from immom.moments import (
 from immom.partitions import (
     Partition,
     conjugate,
+    dominance_covers,
     dim_symmetric,
     hook_product,
     partition_list,
@@ -727,6 +728,17 @@ def test_mean_dominance_two_symbols_values():
     assert mean((2,)).evaluate(2) == Fraction(1, 3)
     assert mean((1, 1)).evaluate(2) == 1
     assert mean_dominance_check(2, 2) == []
+
+
+def test_mean_dominance_check_fires_on_every_cover_below_a_raised_mean(monkeypatch):
+    shape = (3, 2, 1)
+    true_mean = moments.mean
+    monkeypatch.setattr(moments, "mean", lambda lam: true_mean(lam) * (
+        1000 if tuple(lam) == shape else 1))
+    below = [(lam, mu) for lam, mu in dominance_covers(6) if lam.parts == shape]
+    assert [mu.parts for _, mu in below] == [(3, 1, 1, 1), (2, 2, 2)]
+    for d in (6, 9):
+        assert mean_dominance_check(6, d) == below
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,7 @@ Weyl dimension formulas recomputed naively in conftest, and classical
 partition counts p(m) = 1, 1, 2, 3, 5, 7, 11, 15, 22, 30, 42.
 """
 
+import re
 from fractions import Fraction
 from math import factorial
 
@@ -20,6 +21,7 @@ from immom.partitions import (
     conjugate,
     dim_symmetric,
     dim_unitary,
+    dominance_covers,
     dominates,
     hook_product,
     hooks,
@@ -75,6 +77,16 @@ def test_parse_rejects_garbage():
     for bad in ["2,,1", "a", "2^-1", "1.5"]:
         with pytest.raises(ValueError):
             parse_partition(bad)
+
+
+@pytest.mark.parametrize("text, item", [
+    ("x", "x"), ("2^x", "2^x"), ("3, y ,1", "y"), ("2^", "2^"), ("^3", "^3"),
+    ("[1.5]", "1.5"),
+])
+def test_parse_error_names_the_text_and_the_item(text, item):
+    message = f"cannot read item {item!r} of partition {text!r}; write parts like 3 or 3^2"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        parse_partition(text)
 
 
 @given(partitions_strategy)
@@ -253,6 +265,25 @@ def test_dominance_is_a_partial_order():
                         and rel[b.parts, c.parts] is Dominance.GREATER
                     ):
                         assert rel[a.parts, c.parts] is Dominance.GREATER
+
+
+def transitive_reduction(m):
+    """The covers of the dominance order, from the pairwise relation."""
+    ps = partition_list(m)
+    above = {(a, b) for a in ps for b in ps if dominates(a, b) is Dominance.GREATER}
+    return {(a, b) for a, b in above
+            if not any((a, c) in above and (c, b) in above for c in ps)}
+
+
+def test_dominance_covers_are_the_transitive_reduction():
+    for m in range(13):
+        covers = dominance_covers(m)
+        assert len(covers) == len(set(covers)), m
+        assert set(covers) == transitive_reduction(m), m
+
+
+def test_dominance_cover_counts():
+    assert [len(dominance_covers(m)) for m in (12, 20, 25)] == [128, 1430, 5110]
 
 
 def test_dominance_reverses_under_conjugation():

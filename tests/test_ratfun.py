@@ -317,6 +317,12 @@ def test_parse_error_messages():
             R.parse(bad)
 
 
+def test_parse_says_when_the_text_ends_early():
+    for bad in ["", "-", "2+", "d*", "(", "1 / "]:
+        with pytest.raises(ValueError, match="^rational function text ends too early$"):
+            R.parse(bad)
+
+
 def test_parse_negative_powers_and_nested_reciprocals():
     assert R.parse("d^-2") == R.ratio(1, {0: 2})
     assert R.parse("(2*d+2)^-1") == R.ratio(1, {1: 1}, 2)

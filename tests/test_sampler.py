@@ -226,6 +226,14 @@ def test_permanent_matches_naive_sum(rng):
         assert np.abs(got - want).max() <= 1e-10 * max(1, np.abs(want).max())
 
 
+def test_permanent_of_the_empty_matrix_is_one():
+    for dtype in (np.complex128, np.float64):
+        got = permanent_batch(np.zeros((3, 0, 0), dtype=dtype))
+        assert got.dtype == dtype and np.array_equal(got, np.ones(3))
+    assert permanent_batch(np.zeros((0, 0, 0), dtype=complex)).shape == (0,)
+    assert immanant((), np.zeros((0, 0))) == 1
+
+
 def test_permanent_memory_is_bounded_by_the_sign_block(rng):
     # the unblocked sign sum formed (256, 2^9, 10) complex values, 20 MiB
     M = rng.standard_normal((256, 10, 10)) + 1j * rng.standard_normal((256, 10, 10))
